@@ -27,6 +27,8 @@ module Stats = Rar_netlist.Stats
 module Dot = Rar_netlist.Dot
 module Transform = Rar_netlist.Transform
 module Json = Rar_util.Json
+module Exec = Rar_serve.Exec
+module Protocol = Rar_serve.Protocol
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -152,6 +154,28 @@ let make_deadline =
 
 let ctx names sim_cycles = Report.create ?names ~sim_cycles ()
 
+let read_text path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
+
+(* The netlist a flop-domain verb ([classic], [convert]) works on: a
+   suite benchmark's edge-triggered form, or a [--bench] / [--verilog]
+   file parsed with located ([file:line:col]) diagnostics. Returns the
+   label the verb reports it under. *)
+let load_netlist ~usage ~bench ~verilog name =
+  let parsed parse file =
+    match parse file with
+    | Ok net -> Ok (file, net)
+    | Error d -> Error (Rar_util.Diag.to_string d)
+  in
+  match (bench, verilog, name) with
+  | Some _, Some _, _ -> Error "give only one of --bench and --verilog"
+  | Some file, None, _ -> parsed Bench_io.parse_file_diag file
+  | None, Some file, _ -> parsed Rar_netlist.Verilog_io.parse_file_diag file
+  | None, None, Some name ->
+    Result.map (fun p -> (name, p.Suite.flop_netlist)) (Suite.load name)
+  | None, None, None -> Error usage
+
 (* --- rar table ----------------------------------------------------- *)
 
 let table_cmd =
@@ -261,6 +285,10 @@ let info_cmd =
 
 (* --- rar run ------------------------------------------------------- *)
 
+(* The engine verbs ([run], [bench], [eco]) are in-process rar-req/1
+   requests: their arguments become a [Protocol.run_req] that [Exec]
+   runs over a fresh cache — the executor [rar serve] uses. *)
+
 let pp_outcome name approach c (o : Outcome.t) runtime =
   Printf.printf
     "%s %s c=%.2f: slaves=%d masters=%d edl=%d seq_area=%.2f comb_area=%.2f \
@@ -311,9 +339,13 @@ let run_cmd =
       Rar_obs.Metrics.arm ()
     end;
     let cfg = Engine.config ~model ~c approach in
-    match Engine.load_and_run ?deadline:(make_deadline deadline) cfg name with
-    | Error err -> `Error (false, Error.to_string err)
-    | Ok r ->
+    let req = Protocol.run_req ~circuit:name cfg in
+    let deadline = make_deadline deadline in
+    match
+      Exec.run ~deadline:(fun () -> deadline) (Rar_serve.Cache.create ()) req
+    with
+    | Error f -> `Error (false, f.Exec.message)
+    | Ok (cfg, r) ->
       let metrics_json =
         if metrics then Some (Rar_obs.Metrics.snapshot_json ()) else None
       in
@@ -360,41 +392,50 @@ let bench_cmd =
   in
   let run verbose jobs file c format libfile =
     setup verbose jobs;
-    let lib =
+    let library =
       match libfile with
       | None -> Ok None
-      | Some path ->
-        Result.map Option.some (Rar_liberty.Liberty_io.parse_file_diag path)
+      | Some path -> Result.map Option.some (read_text path)
     in
-    match lib with
-    | Error d -> `Error (false, Rar_util.Diag.to_string d)
-    | Ok lib -> (
-      match Bench_io.parse_file_diag file with
-      | Error d -> `Error (false, Rar_util.Diag.to_string d)
-      | Ok net ->
-        let p = Suite.prepare ?lib net in
+    match (library, read_text file) with
+    | Error e, _ | _, Error e -> `Error (false, e)
+    | Ok library, Ok text -> (
+      (* One cache for the three engines: the library and circuit are
+         parsed, and the stage built, once. *)
+      let caches = Rar_serve.Cache.create () in
+      let req spec =
+        Protocol.run_req ~bench:text ?library (Engine.config ~c spec)
+      in
+      match
+        Exec.prepared ?library_file:libfile ~bench_file:file caches
+          (req Engine.Grar)
+      with
+      | Error f -> `Error (false, f.Exec.message)
+      | Ok (_, p) ->
         if format <> Report.Json then
           Printf.printf "%s: P=%.3f ns, %d flops, NCE=%d, flop area=%.2f\n"
-            (Netlist.name net) p.Suite.p p.Suite.n_flops p.Suite.nce
+            p.Suite.name p.Suite.p p.Suite.n_flops p.Suite.nce
             p.Suite.flop_area;
         let results =
           List.map
             (fun spec ->
-              let cfg = Engine.config ~c spec in
-              (spec, cfg, Engine.run_prepared cfg p))
+              ( spec,
+                Exec.run ?library_file:libfile ~bench_file:file
+                  ~deadline:(fun () -> None)
+                  caches (req spec) ))
             Engine.tabulated
         in
         if format = Report.Json then begin
           let entries =
             List.map
-              (fun (spec, cfg, res) ->
+              (fun (spec, res) ->
                 match res with
-                | Ok r -> Engine.result_json ~circuit:(Netlist.name net) cfg r
-                | Error err ->
+                | Ok (cfg, r) -> Engine.result_json ~circuit:p.Suite.name cfg r
+                | Error f ->
                   Json.Obj
                     [
                       ("approach", Json.String (Engine.name spec));
-                      ("error", Json.String (Error.to_string err));
+                      ("error", Json.String f.Exec.message);
                     ])
               results
           in
@@ -402,14 +443,13 @@ let bench_cmd =
         end
         else
           List.iter
-            (fun (spec, _, res) ->
+            (fun (spec, res) ->
               match res with
-              | Ok r ->
+              | Ok (_, r) ->
                 pp_outcome file (Engine.label spec) c r.Engine.outcome
                   r.Engine.wall_s
-              | Error err ->
-                Printf.printf "%s: %s\n" (Engine.name spec)
-                  (Error.to_string err))
+              | Error f ->
+                Printf.printf "%s: %s\n" (Engine.name spec) f.Exec.message)
             results;
         `Ok ())
   in
@@ -585,22 +625,14 @@ let classic_cmd =
   in
   let run verbose name bench feas =
     setup_logs verbose;
-    let loaded =
-      match (bench, name) with
-      | Some file, _ -> (
-        match Bench_io.parse_file file with
-        | Error e -> Error e
-        | Ok net -> Ok (file, net, Rar_liberty.Liberty.default ()))
-      | None, Some name -> (
-        match Suite.load name with
-        | Error e -> Error e
-        | Ok p -> Ok (name, p.Suite.flop_netlist, p.Suite.lib))
-      | None, None -> Error "give a CIRCUIT name or --bench FILE"
-    in
-    match loaded with
+    match
+      load_netlist ~usage:"give a CIRCUIT name or --bench FILE" ~bench
+        ~verilog:None name
+    with
     | Error e -> `Error (false, e)
-    | Ok (name, net, lib) -> (
+    | Ok (name, net) -> (
       try
+        let lib = Rar_liberty.Liberty.default () in
         let g = Rar_retime.Classic.of_netlist ~host_registers:1 ~lib net in
         let p0 = Rar_retime.Classic.period_of g in
         if feas then
@@ -646,6 +678,8 @@ let classic_cmd =
     Term.(ret (const run $ verbose_arg $ name_arg $ bench_arg $ feas_arg))
 
 (* --- rar eco --------------------------------------------------------- *)
+
+exception Cold_mismatch of string
 
 let eco_cmd =
   let name_arg =
@@ -704,6 +738,44 @@ let eco_cmd =
            fields)
     | j -> j
   in
+  (* The --verify-cold oracle, independent of the session path: apply
+     each batch to its own copy of the netlist, re-analyse the stage
+     from scratch and re-run the engine cold. *)
+  let cold_oracle ~label ~deadline (p : Suite.prepared) cfg0 =
+    let net = ref p.Suite.cc.Transform.comb in
+    let annot = ref None in
+    let cfg = ref cfg0 in
+    fun i batch cfg_now r ->
+      let fail fmt = Printf.ksprintf (fun m -> raise (Cold_mismatch m)) fmt in
+      let applied = Transform.Edit.apply ?annot:!annot !net batch in
+      let cfg' =
+        match applied.Transform.Edit.c with
+        | None -> !cfg
+        | Some c -> { !cfg with Engine.c }
+      in
+      match
+        Stage.make ~model:cfg0.Engine.model ~source:p.Suite.two_phase
+          ~annot:applied.Transform.Edit.annot ~lib:p.Suite.lib
+          ~clocking:p.Suite.clocking
+          { p.Suite.cc with Transform.comb = applied.Transform.Edit.net }
+      with
+      | Error err ->
+        fail "batch %d: cold re-analysis: %s" i (Error.to_string err)
+      | Ok cold_stage -> (
+        match Engine.run ?deadline cfg' cold_stage with
+        | Error err ->
+          fail "batch %d: cold re-solve: %s" i (Error.to_string err)
+        | Ok rc ->
+          let doc cfg r =
+            Json.to_string (strip (Engine.result_json ~circuit:label cfg r))
+          in
+          if doc cfg_now r <> doc cfg' rc then
+            fail "batch %d: incremental result diverges from the cold re-solve"
+              i;
+          net := applied.Transform.Edit.net;
+          annot := Some applied.Transform.Edit.annot;
+          cfg := cfg')
+  in
   let run verbose jobs name bench edits approach model c deadline metrics
       verify =
     setup verbose jobs;
@@ -711,135 +783,64 @@ let eco_cmd =
       Rar_obs.Metrics.reset ();
       Rar_obs.Metrics.arm ()
     end;
-    let loaded =
+    let cfg = Engine.config ~model ~c approach in
+    let edits = In_channel.with_open_text edits In_channel.input_all in
+    let source =
       match (bench, name) with
-      | Some file, _ -> (
-        match Bench_io.parse_file_diag file with
-        | Error d -> Error (Rar_util.Diag.to_string d)
-        | Ok net -> Ok (file, Suite.prepare net))
-      | None, Some name -> (
-        match Suite.load name with
-        | Error e -> Error e
-        | Ok p -> Ok (name, p))
+      | Some file, _ ->
+        Result.map
+          (fun text -> (file, Protocol.run_req ~bench:text ~edits cfg))
+          (read_text file)
+      | None, Some name -> Ok (name, Protocol.run_req ~circuit:name ~edits cfg)
       | None, None -> Error "give a CIRCUIT name or --bench FILE"
     in
-    match loaded with
+    match source with
     | Error e -> `Error (false, e)
-    | Ok (name, p) -> (
-      match Transform.Edit.parse_script (In_channel.with_open_text edits In_channel.input_all) with
-      | Error e -> `Error (false, e)
-      | Ok batches -> (
-        let cfg = Engine.config ~model ~c approach in
+    | Ok (label, req) -> (
+      let caches = Rar_serve.Cache.create () in
+      let deadline = make_deadline deadline in
+      let oracle =
+        if not verify then Ok (fun _ _ _ _ -> ())
+        else
+          Result.map
+            (fun (_, p) -> cold_oracle ~label ~deadline p cfg)
+            (Exec.prepared ?bench_file:bench caches req)
+      in
+      match oracle with
+      | Error f -> `Error (false, f.Exec.message)
+      | Ok check -> (
+        let on_batch i batch cfg_now r =
+          let metrics_json =
+            if metrics then Some (Rar_obs.Metrics.snapshot_json ()) else None
+          in
+          print_endline
+            (Json.to_string
+               (Engine.result_json ~circuit:label ?metrics:metrics_json
+                  cfg_now r));
+          check i batch cfg_now r
+        in
         match
-          Stage.make ~model ~source:p.Suite.two_phase ~lib:p.Suite.lib
-            ~clocking:p.Suite.clocking p.Suite.cc
+          Exec.run ?bench_file:bench ~on_batch
+            ~deadline:(fun () -> deadline)
+            caches req
         with
-        | Error err -> `Error (false, Error.to_string err)
-        | Ok stage0 -> (
-          match Engine.open_session cfg stage0 with
-          | exception Invalid_argument e -> `Error (false, e)
-          | session ->
-            let deadline = make_deadline deadline in
-            let cold_net = ref (Stage.comb stage0) in
-            let cold_annot = ref None in
-            let cold_cfg = ref cfg in
-            let failure = ref None in
-            List.iteri
-              (fun i batch ->
-                if !failure = None then begin
-                  match Engine.resolve ?deadline session batch with
-                  | Error err ->
-                    (* Stream a structured error record for the failed
-                       batch (consumers tailing the rar-run/1 stream see
-                       why it ended) and fail the command: the session
-                       state is unchanged, later batches would resolve
-                       against a netlist missing this batch's edits. *)
-                    print_endline
-                      (Json.to_string
-                         (Json.Obj
-                            [ ("schema", Json.String "rar-eco-error/1");
-                              ("circuit", Json.String name);
-                              ("batch", Json.Int i);
-                              ("kind", Json.String (Error.kind err));
-                              ("error", Json.String (Error.to_string err)) ]));
-                    failure :=
-                      Some
-                        (Printf.sprintf "batch %d: %s" i (Error.to_string err))
-                  | Ok r -> (
-                    let cfg_now = Engine.session_config session in
-                    let metrics_json =
-                      if metrics then Some (Rar_obs.Metrics.snapshot_json ())
-                      else None
-                    in
-                    print_endline
-                      (Json.to_string
-                         (Engine.result_json ~circuit:name ?metrics:metrics_json
-                            cfg_now r));
-                    if not verify then begin
-                      (* track the cumulative netlist anyway: later
-                         batches parse against the session state only *)
-                      let applied =
-                        Transform.Edit.apply ?annot:!cold_annot !cold_net batch
-                      in
-                      cold_net := applied.Transform.Edit.net;
-                      cold_annot := Some applied.Transform.Edit.annot
-                    end
-                    else begin
-                      let applied =
-                        Transform.Edit.apply ?annot:!cold_annot !cold_net batch
-                      in
-                      let cfg' =
-                        match applied.Transform.Edit.c with
-                        | None -> !cold_cfg
-                        | Some c -> { !cold_cfg with Engine.c }
-                      in
-                      match
-                        Stage.make ~model ~source:p.Suite.two_phase
-                          ~annot:applied.Transform.Edit.annot ~lib:p.Suite.lib
-                          ~clocking:p.Suite.clocking
-                          { p.Suite.cc with
-                            Transform.comb = applied.Transform.Edit.net }
-                      with
-                      | Error err ->
-                        failure :=
-                          Some
-                            (Printf.sprintf "batch %d: cold re-analysis: %s" i
-                               (Error.to_string err))
-                      | Ok cold_stage -> (
-                        match Engine.run ?deadline cfg' cold_stage with
-                        | Error err ->
-                          failure :=
-                            Some
-                              (Printf.sprintf "batch %d: cold re-solve: %s" i
-                                 (Error.to_string err))
-                        | Ok rc ->
-                          let a =
-                            Json.to_string
-                              (strip (Engine.result_json ~circuit:name cfg_now r))
-                          in
-                          let b =
-                            Json.to_string
-                              (strip
-                                 (Engine.result_json ~circuit:name cfg' rc))
-                          in
-                          if a <> b then
-                            failure :=
-                              Some
-                                (Printf.sprintf
-                                   "batch %d: incremental result diverges \
-                                    from the cold re-solve"
-                                   i)
-                          else begin
-                            cold_net := applied.Transform.Edit.net;
-                            cold_annot := Some applied.Transform.Edit.annot;
-                            cold_cfg := cfg'
-                          end)
-                    end)
-                end)
-              batches;
-            (match !failure with
-            | Some e -> `Error (false, e)
-            | None -> `Ok ()))))
+        | Ok _ -> `Ok ()
+        | exception Cold_mismatch e -> `Error (false, e)
+        | Error { Exec.batch = None; message; _ } -> `Error (false, message)
+        | Error { Exec.batch = Some i; kind; message } ->
+          (* Stream a structured error record for the failed batch
+             (consumers tailing the rar-run/1 stream see why it ended)
+             and fail the command: later batches would resolve against
+             a netlist missing this batch's edits. *)
+          print_endline
+            (Json.to_string
+               (Json.Obj
+                  [ ("schema", Json.String "rar-eco-error/1");
+                    ("circuit", Json.String label);
+                    ("batch", Json.Int i);
+                    ("kind", Json.String kind);
+                    ("error", Json.String message) ]));
+          `Error (false, Printf.sprintf "batch %d: %s" i message)))
   in
   Cmd.v
     (Cmd.info "eco"
@@ -1005,23 +1006,13 @@ let convert_cmd =
     match Rar_netlist.Convert.phases_of_int phases with
     | Error e -> `Error (false, e)
     | Ok scheme -> (
-      let loaded =
-        match (bench, verilog, name) with
-        | Some file, None, _ ->
-          Result.map_error Rar_util.Diag.to_string
-            (Bench_io.parse_file_diag file)
-        | None, Some file, _ ->
-          Result.map_error Rar_util.Diag.to_string
-            (Rar_netlist.Verilog_io.parse_file_diag file)
-        | Some _, Some _, _ -> Error "give only one of --bench and --verilog"
-        | None, None, Some name ->
-          Result.map (fun p -> p.Suite.flop_netlist) (Suite.load name)
-        | None, None, None ->
-          Error "give a CIRCUIT name, --bench FILE or --verilog FILE"
-      in
-      match loaded with
+      match
+        load_netlist
+          ~usage:"give a CIRCUIT name, --bench FILE or --verilog FILE" ~bench
+          ~verilog name
+      with
       | Error e -> `Error (false, e)
-      | Ok net -> (
+      | Ok (_, net) -> (
         match Rar_netlist.Convert.run ~phases:scheme net with
         | Error e -> `Error (false, e)
         | Ok (converted, stats) -> (

@@ -255,11 +255,6 @@ let run_prepared ?deadline (cfg : config) (p : Suite.prepared) =
   | Error _ as e -> e
   | Ok stage -> run ?deadline cfg stage
 
-let load_and_run ?deadline cfg circuit =
-  match Suite.load circuit with
-  | Error _ -> Error (Error.Unknown_circuit circuit)
-  | Ok p -> run_prepared ?deadline cfg p
-
 (* ------------------------------------------------------------------ *)
 (* ECO sessions                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -148,12 +148,6 @@ val run_prepared :
     prepared benchmark, then {!run}. Stage analysis runs under the
     same exception guard as {!run}. *)
 
-val load_and_run :
-  ?deadline:Rar_util.Deadline.t ->
-  config -> string -> (result, Error.t) Stdlib.result
-(** [load_and_run cfg name] loads the named benchmark and runs;
-    unknown names yield [Unknown_circuit]. *)
-
 (** {1 ECO sessions} *)
 
 type session

@@ -37,11 +37,6 @@ val parse : string -> (Liberty.t, string) result
     "Liberty_io.parse: ..." from the group parser and semantic
     checks). *)
 
-val parse_file : string -> (Liberty.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Liberty.t, Rar_util.Diag.t) result
 (** Structured-diagnostic entry point: the error carries the 1-based
     line and, for tokenizer errors, the 1-based column (0 when the

@@ -182,10 +182,6 @@ let read_file path =
       let len = in_channel_length ic in
       really_input_string ic len)
 
-let parse_file path =
-  let text = read_file path in
-  parse text
-
 let parse_file_diag path =
   match read_file path with
   | exception Sys_error msg -> Error (Diag.make msg)

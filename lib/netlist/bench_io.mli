@@ -25,11 +25,6 @@ val parse : string -> (Netlist.t, string) result
     Thin wrapper over {!parse_diag} preserving the historical error
     strings. *)
 
-val parse_file : string -> (Netlist.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
 (** Structured-diagnostic entry point: the error carries the 1-based
     line, the column of the offending line's first content character

@@ -19,11 +19,6 @@ val parse : string -> (Netlist.t, string) result
 (** Errors carry a line number and reason. Thin wrapper over
     {!parse_diag} preserving the historical error strings. *)
 
-val parse_file : string -> (Netlist.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
 (** Structured-diagnostic entry point: the error carries the 1-based
     line and, for tokenizer errors, the 1-based column (0 when the

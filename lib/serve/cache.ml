@@ -34,7 +34,7 @@ let digest s = Digest.to_hex (Digest.string s)
    chain off upstream content hashes, or a structured [(kind, message)]
    pair the server can answer with. *)
 
-let library t = function
+let library ?file t = function
   | None -> (
     let key = "builtin" in
     match Lru.find t.libs key with
@@ -48,13 +48,13 @@ let library t = function
     match Lru.find t.libs key with
     | Some lib -> Ok (key, lib)
     | None -> (
-      match Liberty_io.parse_diag text with
+      match Liberty_io.parse_diag ?file text with
       | Ok lib ->
         Lru.put t.libs key lib;
         Ok (key, lib)
       | Error d -> Error ("bad_library", Diag.to_string d)))
 
-let prepared t ~libkey ~lib ~circuit ~bench =
+let prepared ?file t ~libkey ~lib ~circuit ~bench =
   match (circuit, bench) with
   | Some name, _ -> (
     let key =
@@ -73,7 +73,7 @@ let prepared t ~libkey ~lib ~circuit ~bench =
     match Lru.find t.prepared key with
     | Some p -> Ok (key, p)
     | None -> (
-      match Bench_io.parse_diag text with
+      match Bench_io.parse_diag ?file text with
       | Error d -> Error ("bad_netlist", Diag.to_string d)
       | Ok net ->
         let p = Suite.prepare ~lib net in

@@ -28,16 +28,24 @@ val create :
 val solve_cache : t -> Rar_flow.Difflp.cache
 
 val library :
-  t -> string option -> (string * Rar_liberty.Liberty.t, string * string) result
-(** [library t text] — [None] is the built-in default library. *)
+  ?file:string ->
+  t ->
+  string option ->
+  (string * Rar_liberty.Liberty.t, string * string) result
+(** [library t text] — [None] is the built-in default library. [file]
+    names the source of [text] in parse diagnostics only; it is not
+    part of the key. *)
 
 val prepared :
+  ?file:string ->
   t ->
   libkey:string ->
   lib:Rar_liberty.Liberty.t ->
   circuit:string option ->
   bench:string option ->
   (string * Rar_circuits.Suite.prepared, string * string) result
+(** A suite [circuit] by name, or inline [bench] text ([file] as for
+    {!library}). *)
 
 val stage :
   t ->

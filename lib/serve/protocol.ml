@@ -26,6 +26,23 @@ type verb = Run of run_req | Ping | Metrics | Shutdown
 
 type request = { id : Json.t; verb : verb }
 
+let run_req ?circuit ?bench ?library ?edits (cfg : Engine.config) =
+  {
+    circuit;
+    bench;
+    library;
+    approach = cfg.spec;
+    model = cfg.model;
+    solver = cfg.solver;
+    c = cfg.c;
+    post_swap = cfg.post_swap;
+    movable_moves = cfg.movable_moves;
+    edits;
+    deadline_s = None;
+    max_heap_mb = None;
+    want_metrics = false;
+  }
+
 let config_of (r : run_req) =
   {
     Engine.spec = r.approach;
@@ -115,19 +132,14 @@ let parse_run j =
     | Some m when m < 1 -> Error "\"max_heap_mb\" must be >= 1"
     | _ -> Ok ()
   in
+  let cfg =
+    Engine.config ~model ?solver ~c:(Option.value c ~default:1.0) ?post_swap
+      ?movable_moves approach
+  in
   Ok
     (Run
        {
-         circuit;
-         bench;
-         library;
-         approach;
-         model;
-         solver;
-         c = Option.value c ~default:1.0;
-         post_swap = Option.value post_swap ~default:true;
-         movable_moves = Option.value movable_moves ~default:6;
-         edits;
+         (run_req ?circuit ?bench ?library ?edits cfg) with
          deadline_s;
          max_heap_mb;
          want_metrics = Option.value want_metrics ~default:false;

@@ -45,7 +45,18 @@ val req_schema : string
 val resp_schema : string
 (** ["rar-serve/1"]. *)
 
+val run_req :
+  ?circuit:string ->
+  ?bench:string ->
+  ?library:string ->
+  ?edits:string ->
+  Rar_engine.config ->
+  run_req
+(** The run request for an engine config, with no guard limits and no
+    metrics — how the CLI engine verbs phrase their arguments. *)
+
 val config_of : run_req -> Rar_engine.config
+(** Inverse of {!run_req} on the config fields. *)
 
 val parse : Rar_util.Json.t -> (request, string) result
 (** Validate a parsed request object. Unknown [verb], mistyped or

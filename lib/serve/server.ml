@@ -2,8 +2,6 @@ module Json = Rar_util.Json
 module Diag = Rar_util.Diag
 module Pool = Rar_util.Pool
 module Metrics = Rar_obs.Metrics
-module Transform = Rar_netlist.Transform
-module Error = Rar_retime.Error
 module Engine = Rar_engine
 
 let m_requests = Metrics.counter "serve_requests"
@@ -63,91 +61,6 @@ let drain t =
   Mutex.unlock t.lock
 
 (* ------------------------------------------------------------------ *)
-(* Run-request execution                                               *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-(* The whole pipeline — library parse, circuit preparation, stage
-   analysis, engine run — executes on a pool worker under the
-   request's guard token; every layer answers with a [(kind, message)]
-   pair and anything that escapes is classified by [Guard.classify] in
-   the scheduler below. *)
-let exec_run t (req : Protocol.run_req) =
-  let caches = t.caches in
-  let* libkey, lib = Cache.library caches req.library in
-  let* circuit_key, prep =
-    Cache.prepared caches ~libkey ~lib ~circuit:req.circuit ~bench:req.bench
-  in
-  let cfg = Protocol.config_of req in
-  let* batches =
-    match req.edits with
-    | None -> Ok []
-    | Some text -> (
-      match Transform.Edit.parse_script text with
-      | Ok b -> Ok b
-      | Error e -> Error ("invalid_input", e))
-  in
-  let* stage_key, stage = Cache.stage caches ~circuit_key ~model:req.model prep in
-  let token =
-    Guard.token
-      { deadline_s = req.deadline_s; max_heap_mb = req.max_heap_mb }
-  in
-  let circuit = Option.value req.circuit ~default:"bench" in
-  let finish cfg' (res : Engine.result) =
-    let metrics =
-      if req.want_metrics then Some (Metrics.snapshot_json ()) else None
-    in
-    Ok (Engine.result_json ~circuit ?metrics cfg' res)
-  in
-  let engine_error e = Error (Guard.kind_of_error e, Error.to_string e) in
-  match req.approach with
-  | Engine.Movable ->
-    (* The movable engine rebuilds the two-phase netlist per move, so
-       it cannot hold a warm session; it still shares the process-wide
-       LP solve cache. *)
-    if batches <> [] then
-      Error ("invalid_input", "the movable engine cannot resolve edit scripts")
-    else (
-      match
-        Engine.run ~deadline:token ~solve_cache:(Cache.solve_cache caches) cfg
-          stage
-      with
-      | Ok res -> finish cfg res
-      | Error e -> engine_error e)
-  | Engine.Initial | Engine.Base | Engine.Grar | Engine.Vl _ ->
-    (* Session checkout: a warm session cached under the request's
-       final state (stage x config x edit-script digest) resolves the
-       empty batch — the LP solve cache replays and the incremental
-       stage is already in place. A miss opens a fresh session over
-       the (cached, shared, read-only) stage and applies the edit
-       batches in order. *)
-    let key = Cache.session_key ~stage_key ~cfg ~edits:req.edits in
-    let sess, batches =
-      match Cache.take_session caches key with
-      | Some s -> (s, [ [] ])
-      | None ->
-        ( Engine.open_session cfg stage,
-          if batches = [] then [ [] ] else batches )
-    in
-    let rec loop last = function
-      | [] ->
-        Cache.put_session caches key sess;
-        finish (Engine.session_config sess) last
-      | b :: rest -> (
-        match Engine.resolve ~deadline:token sess b with
-        | Ok res -> loop res rest
-        | Error e ->
-          (* Failed mid-script: the session's state reflects only the
-             batches that succeeded, which no cache key describes —
-             drop it rather than check in a mislabelled session. *)
-          engine_error e)
-    in
-    (match Engine.resolve ~deadline:token sess (List.hd batches) with
-    | Ok res -> loop res (List.tl batches)
-    | Error e -> engine_error e)
-
-(* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -199,10 +112,23 @@ let schedule t ~sink ~acquire ~release ~id ~start (req : Protocol.run_req) =
             if t.pending = 0 then Condition.broadcast t.idle;
             Mutex.unlock t.lock)
           (fun () ->
+            (* The guard token starts once the stage is ready, so the
+               request's budget covers the engine run only. *)
+            let limits =
+              { Guard.deadline_s = req.deadline_s; max_heap_mb = req.max_heap_mb }
+            in
+            let deadline () = Some (Guard.token limits) in
             let resp =
-              match exec_run t req with
-              | Ok result -> Protocol.ok ~id ~wall_s:(since start) result
-              | Error (kind, message) ->
+              match Exec.run ~deadline t.caches req with
+              | Ok (cfg, res) ->
+                let metrics =
+                  if req.want_metrics then Some (Metrics.snapshot_json ())
+                  else None
+                in
+                let circuit = Option.value req.circuit ~default:"bench" in
+                Protocol.ok ~id ~wall_s:(since start)
+                  (Engine.result_json ~circuit ?metrics cfg res)
+              | Error { Exec.kind; message; _ } ->
                 Metrics.incr m_errors;
                 Protocol.error ~id ~wall_s:(since start) ~kind ~message
               | exception e ->

@@ -187,13 +187,6 @@ let test_movable_requires_source () =
     Alcotest.fail ("expected Invalid_input, got " ^ Error.to_string e)
   | Ok _ -> Alcotest.fail "movable must reject a stage without its source"
 
-let test_unknown_circuit () =
-  match Engine.load_and_run (Engine.config Engine.Base) "nosuch" with
-  | Error (Error.Unknown_circuit _) -> ()
-  | Error e ->
-    Alcotest.fail ("expected Unknown_circuit, got " ^ Error.to_string e)
-  | Ok _ -> Alcotest.fail "expected load failure"
-
 let test_result_json_shape () =
   let p = cached_prepared 5 in
   let cfg = Engine.config ~c:1.0 Engine.Grar in
@@ -228,7 +221,6 @@ let suite =
       test_config_key_distinguishes;
     Alcotest.test_case "movable requires the source netlist" `Quick
       test_movable_requires_source;
-    Alcotest.test_case "unknown circuit is typed" `Quick test_unknown_circuit;
     Alcotest.test_case "run JSON has the rar-run/1 shape" `Quick
       test_result_json_shape;
   ]

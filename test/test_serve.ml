@@ -19,6 +19,11 @@ module Lru = Rar_serve.Lru
 module Guard = Rar_serve.Guard
 module Protocol = Rar_serve.Protocol
 module Server = Rar_serve.Server
+module Exec = Rar_serve.Exec
+module Cache = Rar_serve.Cache
+module Suite = Rar_circuits.Suite
+module Stage = Rar_retime.Stage
+module Transform = Rar_netlist.Transform
 
 let without_faults f =
   Faults.disable ();
@@ -453,6 +458,108 @@ let test_server_movable_and_edits () =
   Alcotest.(check string) "movable+edits refused" "error" (status r);
   Alcotest.(check string) "as invalid_input" "invalid_input" (error_kind r)
 
+(* --- the executor ---------------------------------------------------- *)
+
+let run_request fields =
+  match Protocol.parse (Json.Obj fields) with
+  | Ok { Protocol.verb = Protocol.Run r; _ } -> r
+  | Ok _ -> Alcotest.fail "not a run request"
+  | Error e -> Alcotest.fail e
+
+let exec ?on_batch req =
+  Exec.run ?on_batch ~deadline:(fun () -> None) (Cache.create ()) req
+
+(* A rar-run/1 document without its wall clock, for identity checks. *)
+let run_doc cfg r =
+  match Engine.result_json cfg r with
+  | Json.Obj fields ->
+    Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "wall_s") fields))
+  | j -> Json.to_string j
+
+let bench_prepared () =
+  match Bench_io.parse bench_text with
+  | Ok net -> Suite.prepare net
+  | Error e -> Alcotest.fail e
+
+let test_exec_matches_run_prepared () =
+  without_faults @@ fun () ->
+  let p = bench_prepared () in
+  List.iter
+    (fun spec ->
+      let req =
+        run_request
+          [ ("bench", Json.String bench_text);
+            ("approach", Json.String (Engine.name spec)) ]
+      in
+      let cfg = Protocol.config_of req in
+      let expected =
+        match Engine.run_prepared cfg p with
+        | Ok r -> run_doc cfg r
+        | Error e -> Alcotest.fail (Error.to_string e)
+      in
+      match exec req with
+      | Ok (cfg', r) ->
+        Alcotest.(check string) (Engine.name spec) expected (run_doc cfg' r)
+      | Error f -> Alcotest.failf "%s: %s" (Engine.name spec) f.Exec.message)
+    Engine.all
+
+let test_exec_batch_callbacks () =
+  without_faults @@ fun () ->
+  let edits =
+    "resize g1_0 2\nannotate g3_1 0.02\ncommit\nc 0.8\ncommit\n\
+     annotate g5_0 0.03\n"
+  in
+  let batches =
+    match Transform.Edit.parse_script edits with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  let req =
+    run_request
+      [ ("bench", Json.String bench_text);
+        ("approach", Json.String "grar");
+        ("edits", Json.String edits) ]
+  in
+  let seen = ref [] in
+  let on_batch i batch cfg r = seen := (i, batch, run_doc cfg r) :: !seen in
+  (match exec ~on_batch req with
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail f.Exec.message);
+  let seen = List.rev !seen in
+  Alcotest.(check int) "one callback per batch" (List.length batches)
+    (List.length seen);
+  (* the reference: a session opened by hand, resolved batch by batch *)
+  let p = bench_prepared () in
+  let stage =
+    match
+      Stage.make ~source:p.Suite.two_phase ~lib:p.Suite.lib
+        ~clocking:p.Suite.clocking p.Suite.cc
+    with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  let sess = Engine.open_session (Protocol.config_of req) stage in
+  List.iteri
+    (fun i (j, batch, doc) ->
+      Alcotest.(check int) "batch index" i j;
+      Alcotest.(check bool) "batch passed through" true
+        (batch = List.nth batches i);
+      match Engine.resolve sess batch with
+      | Ok r ->
+        Alcotest.(check string)
+          (Printf.sprintf "batch %d" i)
+          (run_doc (Engine.session_config sess) r)
+          doc
+      | Error e -> Alcotest.fail (Error.to_string e))
+    seen
+
+let test_exec_unknown_circuit () =
+  match exec (run_request [ ("circuit", Json.String "nosuch") ]) with
+  | Error f ->
+    Alcotest.(check string) "kind" "unknown_circuit" f.Exec.kind;
+    Alcotest.(check bool) "no batch" true (f.Exec.batch = None)
+  | Ok _ -> Alcotest.fail "expected an unknown-circuit failure"
+
 let suite =
   [
     Alcotest.test_case "protocol defaults" `Quick test_protocol_defaults;
@@ -480,4 +587,10 @@ let suite =
       test_server_shutdown_rejects_new_work;
     Alcotest.test_case "edit scripts and movable limits" `Slow
       test_server_movable_and_edits;
+    Alcotest.test_case "exec matches run_prepared for every engine" `Slow
+      test_exec_matches_run_prepared;
+    Alcotest.test_case "exec fires one callback per edit batch" `Slow
+      test_exec_batch_callbacks;
+    Alcotest.test_case "unknown circuit is typed" `Quick
+      test_exec_unknown_circuit;
   ]
