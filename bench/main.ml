@@ -1,12 +1,17 @@
-(* Benchmark harness: one Bechamel measurement group per paper table,
-   timing the computational kernel that regenerates it, followed by a
-   sequential-vs-parallel wall-clock comparison (written to
-   BENCH_eval.json so the perf trajectory is tracked across PRs; see
-   EXPERIMENTS.md for the schema) and the printed rows of each table
-   on a representative subset of the suite (set RAR_BENCH_FULL=1 for
-   all twelve circuits; EXPERIMENTS.md records a full run).
+(* Benchmark harness. One positional argument picks the mode (default
+   [full]); every mode writes one rar-bench/1 document, BENCH_eval.json
+   in the working directory (schema in EXPERIMENTS.md), holding only
+   the sections the mode ran:
 
-   Groups:
+     full   scaling curve, every paper kernel, overheads, wall clock, ECO
+     smoke  seconds-long kernels/overheads/wall clock/ECO subset
+     scale  100k-gate classic FEAS row plus a 25k-gate G-RAR row
+     eco    25k-gate G-RAR edit-and-resolve vs cold re-solve
+
+   CI gates the smoke, scale and eco modes with
+   scripts/ci_gates/bench_gate.py against bench/smoke_floor.json.
+
+   Bechamel kernel groups of the full mode, one per table and figure:
      table_i    benchmark preparation (generate + derive clock + STA)
      table_ii   G-RAR under the gate-based vs path-based delay model
      table_iii  the three virtual-library variants
@@ -28,6 +33,7 @@ module Stage = Rar_retime.Stage
 module Rgraph = Rar_retime.Rgraph
 module Grar = Rar_retime.Grar
 module Base = Rar_retime.Base_retiming
+module Classic = Rar_retime.Classic
 module Outcome = Rar_retime.Outcome
 module Vl = Rar_vl.Vl
 module Movable = Rar_vl.Movable
@@ -37,31 +43,27 @@ module Difflp = Rar_flow.Difflp
 module Transform = Rar_netlist.Transform
 module Clocking = Rar_sta.Clocking
 module Engine = Rar_engine
+module Json = Rar_util.Json
 
 let ok = function
   | Ok v -> v
   | Error e -> failwith (Rar_retime.Error.to_string e)
 
-(* Effective pool size before the harness overrides it with set_jobs:
-   what `--jobs` / RAR_JOBS / the core-count default resolve to after
-   the host-core clamp, recorded in the host metadata of
-   BENCH_eval.json. *)
+(* Effective pool size before any section overrides it with set_jobs:
+   what RAR_JOBS / the core-count default resolve to after the
+   host-core clamp, recorded in the document's host header. *)
 let jobs_effective = Rar_util.Pool.effective_jobs ()
 
-(* `--jobs 1,2,4` selects the job counts of the scaling.jobs_curve
-   sweep (requested sizes; the pool clamps each to the host). *)
-let jobs_sweep =
-  let rec find = function
-    | "--jobs" :: v :: _ -> Some v
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  match find (Array.to_list Sys.argv) with
-  | None -> [ 1; 2; 4 ]
-  | Some v -> (
-    match List.filter_map int_of_string_opt (String.split_on_char ',' v) with
-    | [] -> [ 1; 2; 4 ]
-    | js -> List.filter (fun j -> j >= 1) js)
+let time_wall f =
+  let t0 = Rar_util.Clock.now_s () in
+  let r = f () in
+  (r, Rar_util.Clock.now_s () -. t0)
+
+let floats kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) kvs)
+
+(* ------------------------------------------------------------------ *)
+(* Kernels                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Representative circuit for the timed kernels: s1423 is the smallest
    benchmark on which every engine behaves non-trivially. *)
@@ -93,75 +95,16 @@ let sim_design =
            r.Engine.outcome.Outcome.ed_sinks;
      })
 
-(* Resilience-overhead kernels: the same solve with and without the
-   instrumentation the resilience layer adds. A far-future deadline
-   exercises the strided in-loop checks at full frequency without ever
-   firing; the verify pair isolates the optimality-certificate cost;
-   the fallback kernel times the full fail-and-retry path under an
-   injected timeout. *)
-let far_deadline () = Rar_util.Deadline.make ~budget_s:86400.
-
-(* Armed-tracing wrapper for the *_trace kernels and the
-   trace_overhead_ratio measurement (gated in bench/smoke_floor.json
-   like the deadline checks). Buffers are cleared every run so they do
-   not grow across iterations. *)
-let with_tracing f =
-  Rar_obs.Trace.clear ();
-  Rar_obs.Trace.arm ();
-  Rar_obs.Metrics.arm ();
-  Fun.protect
-    ~finally:(fun () ->
-      Rar_obs.Trace.disarm ();
-      Rar_obs.Metrics.disarm ();
-      Rar_obs.Trace.clear ();
-      Rar_obs.Metrics.reset ())
-    f
-
-let chain_lp =
-  lazy
-    (let n = 1500 in
-     let t = Difflp.create ~n in
-     for i = 0 to n - 2 do
-       Difflp.add_constraint t ~u:(i + 1) ~v:i ~bound:1
-     done;
-     Difflp.add_constraint t ~u:0 ~v:(n - 1) ~bound:1;
-     Difflp.add_objective t 0 1.0;
-     Difflp.add_objective t (n - 1) (-1.0);
-     t)
-
 let classic_graph () =
   let p = Lazy.force prepared in
-  Rar_retime.Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib
-    p.Suite.flop_netlist
+  Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib p.Suite.flop_netlist
 
-let classic_pipeline () =
-  let g = classic_graph () in
-  let pmin = Rar_retime.Classic.min_period g in
-  ignore (ok (Rar_retime.Classic.retime g ~period:pmin))
-
-(* The armed-span cost is far below host noise, so gating it on the
-   quotient of two independently-measured bechamel estimates flakes:
-   clock-speed drift between the two measurement windows reads as
-   "overhead". The gated ratio instead comes from interleaved paired
-   rounds — plain and traced runs alternate, so drift hits both sides
-   equally and cancels out of the quotient. *)
-let paired_trace_ratio ?(rounds = 4) ?(runs = 3) body =
-  let time f =
-    let t0 = Rar_util.Clock.now_s () in
-    for _ = 1 to runs do
-      f ()
-    done;
-    Rar_util.Clock.now_s () -. t0
-  in
-  let traced () = with_tracing body in
-  body ();
-  traced ();
-  let plain_s = ref 0. and traced_s = ref 0. in
-  for _ = 1 to rounds do
-    plain_s := !plain_s +. time body;
-    traced_s := !traced_s +. time traced
-  done;
-  !traced_s /. Float.max 1e-9 !plain_s
+(* Min-period classic retiming from a fresh graph: the ablation kernel
+   and the body of the deadline and trace overhead pairs. *)
+let classic_pipeline ?deadline graph () =
+  let g = graph () in
+  let pmin = Classic.min_period ?deadline g in
+  ignore (ok (Classic.retime ?deadline g ~period:pmin))
 
 let tests =
   [
@@ -212,22 +155,7 @@ let tests =
           (Rar_retime.Period_search.min_feasible ~lib:(Fig4.library ())
              (Fig4.circuit ()))));
     Test.make ~name:"ablation/classic_retiming"
-      (Staged.stage classic_pipeline);
-    Test.make ~name:"resilience/classic_deadline" (Staged.stage (fun () ->
-        let g = classic_graph () in
-        let deadline = far_deadline () in
-        let pmin = Rar_retime.Classic.min_period ~deadline g in
-        ignore (ok (Rar_retime.Classic.retime ~deadline g ~period:pmin))));
-    Test.make ~name:"observability/classic_trace" (Staged.stage (fun () ->
-        with_tracing classic_pipeline));
-    Test.make ~name:"resilience/solve_verify" (Staged.stage (fun () ->
-        ignore (Difflp.solve (Lazy.force chain_lp) ~reference:0)));
-    Test.make ~name:"resilience/solve_noverify" (Staged.stage (fun () ->
-        ignore (Difflp.solve ~verify:false (Lazy.force chain_lp) ~reference:0)));
-    Test.make ~name:"resilience/fallback_timeout" (Staged.stage (fun () ->
-        Rar_resilience.Faults.configure [ Rar_resilience.Faults.Timeout ];
-        Fun.protect ~finally:Rar_resilience.Faults.use_env (fun () ->
-            ignore (Difflp.solve (Lazy.force chain_lp) ~reference:0))));
+      (Staged.stage (classic_pipeline classic_graph));
     Test.make ~name:"fig1/clocking" (Staged.stage (fun () ->
         let c = Clocking.of_p 1.0 in
         ignore (Format.asprintf "%a" Clocking.pp_diagram c)));
@@ -238,58 +166,164 @@ let tests =
                 (Fig4.circuit ())))));
   ]
 
-let measure_kernels ~banner tests =
+(* A 150-gate generated circuit: the smoke mode's kernel, whose
+   estimate CI compares against the checked-in floor
+   (bench/smoke_floor.json), failing on a > 2x regression, and every
+   mode's classic overhead pairs: at s1423 size (~1 s/run) each pair's
+   102 runs would take close to two minutes. *)
+let smoke_net =
+  lazy
+    (let spec =
+       {
+         (Option.get (Rar_circuits.Spec.find "s1196")) with
+         Rar_circuits.Spec.n_gates = 150;
+         depth = 8;
+       }
+     in
+     Rar_circuits.Generator.generate spec)
+
+let smoke_graph () =
+  let lib = Rar_liberty.Liberty.default () in
+  Classic.of_netlist ~host_registers:1 ~lib (Lazy.force smoke_net)
+
+let smoke_tests =
+  [
+    Test.make ~name:"smoke/classic_retiming"
+      (Staged.stage (classic_pipeline smoke_graph));
+  ]
+
+(* No GC stabilisation between samples: on OCaml 5.1 bechamel's
+   repeated [Gc.compact] calls leave the major heap growing without
+   bound afterwards — on an 8 GB, 2-core host the full mode reached
+   7.8 GB at its ECO section and was killed. *)
+let measure_kernels tests =
   let instance = Instance.monotonic_clock in
   let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 10) ()
+    Benchmark.cfg ~stabilize:false ~limit:200 ~quota:(Time.second 2.0)
+      ~kde:(Some 10) ()
   in
-  Printf.printf "%s\n%!" banner;
-  let kernels = ref [] in
-  List.iter
+  List.concat_map
     (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
+      let results =
+        Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ])
+      in
       let ols =
         Analyze.all
           (Analyze.ols ~bootstrap:0 ~r_square:false
              ~predictors:[| Measure.run |])
           instance results
       in
-      Hashtbl.iter
-        (fun name ols_result ->
+      Hashtbl.fold
+        (fun name ols_result acc ->
           match Analyze.OLS.estimates ols_result with
           | Some [ est ] ->
-            kernels := (name, est) :: !kernels;
-            Printf.printf "  %-28s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-28s (no estimate)\n%!" name)
-        ols)
-    tests;
-  List.rev !kernels
-
-let run_benchmarks () =
-  measure_kernels
-    ~banner:
-      (Printf.sprintf "== Bechamel kernels (circuit %s, monotonic clock) =="
-         circuit)
+            Printf.printf "  %-28s %12.0f ns/run\n%!" name est;
+            Json.Obj [ ("name", Json.String name); ("ns_per_run", Json.Float est) ]
+            :: acc
+          | _ ->
+            Printf.printf "  %-28s (no estimate)\n%!" name;
+            acc)
+        ols [])
     tests
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_eval.json: machine-readable perf trajectory                   *)
+(* Instrumentation overheads                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Sequential-vs-parallel wall clock of the two pool-parallel paths:
-   Stage.make (per-sink classification fan-out) and Report.all_tables
-   (whole-grid precompute). Schema documented in EXPERIMENTS.md. *)
+(* Armed tracing and metrics around [f]; the buffers are cleared every
+   run so they do not grow across iterations. *)
+let with_tracing f =
+  Rar_obs.Trace.clear ();
+  Rar_obs.Trace.arm ();
+  Rar_obs.Metrics.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Rar_obs.Trace.disarm ();
+      Rar_obs.Metrics.disarm ();
+      Rar_obs.Trace.clear ();
+      Rar_obs.Metrics.reset ())
+    f
 
-let time_wall f =
-  let t0 = Rar_util.Clock.now_s () in
-  let r = f () in
-  (r, Rar_util.Clock.now_s () -. t0)
+(* An overhead is the armed/plain time ratio of one body. Gating the
+   quotient of two separately measured estimates flakes: clock-speed
+   drift between the two measurement windows reads as overhead. Each
+   round here times one run of each side back to back, alternating
+   which goes first, so drift hits both sides equally; the median of
+   many short rounds discards the ones a host hiccup lands in. *)
+let paired_ratio (plain, armed) =
+  let time f = snd (time_wall f) in
+  plain ();
+  armed ();
+  let ratio i =
+    if i mod 2 = 0 then
+      let p = time plain in
+      let a = time armed in
+      a /. Float.max 1e-9 p
+    else
+      let a = time armed in
+      let p = time plain in
+      a /. Float.max 1e-9 p
+  in
+  List.nth (List.sort compare (List.init 51 ratio)) 25
 
-let wall_stage_make ~jobs ~names =
+(* A far-future deadline exercises the strided in-loop checks at full
+   frequency without ever firing. *)
+let classic_overheads =
+  let plain = classic_pipeline smoke_graph in
+  [
+    ( "deadline_overhead_ratio",
+      ( plain,
+        fun () ->
+          classic_pipeline
+            ~deadline:(Rar_util.Deadline.make ~budget_s:86400.)
+            smoke_graph () ) );
+    ("trace_overhead_ratio", (plain, fun () -> with_tracing plain));
+  ]
+
+let chain_lp =
+  lazy
+    (let n = 1500 in
+     let t = Difflp.create ~n in
+     for i = 0 to n - 2 do
+       Difflp.add_constraint t ~u:(i + 1) ~v:i ~bound:1
+     done;
+     Difflp.add_constraint t ~u:0 ~v:(n - 1) ~bound:1;
+     Difflp.add_objective t 0 1.0;
+     Difflp.add_objective t (n - 1) (-1.0);
+     t)
+
+let chain_solve ~verify () =
+  ignore (Difflp.solve ~verify (Lazy.force chain_lp) ~reference:0)
+
+(* The verify pair isolates the optimality-certificate cost; the
+   fallback pair times the full fail-and-retry path under an injected
+   timeout against a clean certified solve. *)
+let solve_overheads =
+  [
+    ("verify_overhead_ratio", (chain_solve ~verify:false, chain_solve ~verify:true));
+    ( "fallback_overhead_ratio",
+      ( chain_solve ~verify:true,
+        fun () ->
+          Rar_resilience.Faults.configure [ Rar_resilience.Faults.Timeout ];
+          Fun.protect ~finally:Rar_resilience.Faults.use_env
+            (chain_solve ~verify:true) ) );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Wall clock: sequential vs pool                                      *)
+(* ------------------------------------------------------------------ *)
+
+type wallclock = {
+  stage_names : string list;  (* Stage.make seq vs par_jobs *)
+  par_jobs : int;
+  table_names : string list;  (* Report.all_tables at jobs 1, 2, 4 *)
+  sim_cycles : int;
+}
+
+let wall_stage_make ~jobs names =
   Rar_util.Pool.set_jobs jobs;
-  let total = ref 0. in
-  List.iter
-    (fun name ->
+  List.fold_left
+    (fun total name ->
       let p = Report.prepared ctx name in
       let _, dt =
         time_wall (fun () ->
@@ -297,52 +331,65 @@ let wall_stage_make ~jobs ~names =
               (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking
                  p.Suite.cc))
       in
-      total := !total +. dt)
-    names;
-  !total
+      total +. dt)
+    0. names
 
-let wall_all_tables ~jobs ~names ~sim_cycles =
-  Rar_util.Pool.set_jobs jobs;
-  let t = Report.create ~names ~sim_cycles () in
-  let _, dt = time_wall (fun () -> Report.all_tables t) in
-  dt
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Overhead ratios derived from kernel pairs, for the "resilience"
-   section of BENCH_eval.json (and the smoke job's <5% deadline gate). *)
-let overhead_ratios kernels pairs =
-  List.filter_map
-    (fun (label, num, den) ->
-      match (List.assoc_opt num kernels, List.assoc_opt den kernels) with
-      | Some a, Some b when b > 0. -> Some (label, a /. b)
-      | _ -> None)
-    pairs
+let run_wallclock w =
+  let seq_s = wall_stage_make ~jobs:1 w.stage_names in
+  let par_s = wall_stage_make ~jobs:w.par_jobs w.stage_names in
+  let speedup = seq_s /. Float.max 1e-9 par_s in
+  Printf.printf "  Stage.make   %s: %.3fs seq, %.3fs at %d jobs (%.2fx)\n%!"
+    (String.concat "+" w.stage_names) seq_s par_s w.par_jobs speedup;
+  let first = ref None in
+  let jobs_curve =
+    List.map
+      (fun j ->
+        Rar_util.Pool.set_jobs j;
+        let t = Report.create ~names:w.table_names ~sim_cycles:w.sim_cycles () in
+        let _, dt = time_wall (fun () -> Report.all_tables t) in
+        let eff = Rar_util.Pool.effective_jobs () in
+        let base = Option.value !first ~default:dt in
+        first := Some base;
+        let speedup = base /. Float.max 1e-9 dt in
+        Printf.printf "  all_tables   jobs=%d (effective %d): %.3fs (%.2fx vs first)\n%!"
+          j eff dt speedup;
+        Json.Obj
+          [
+            ("jobs_requested", Json.Int j);
+            ("jobs_effective", Json.Int eff);
+            ("all_tables_s", Json.Float dt);
+            ("speedup_vs_first", Json.Float speedup);
+          ])
+      [ 1; 2; 4 ]
+  in
+  Rar_util.Pool.set_jobs 1;
+  Json.Obj
+    [
+      ( "stage_make",
+        Json.Obj
+          [
+            ("circuits", Json.List (List.map (fun n -> Json.String n) w.stage_names));
+            ("seq_s", Json.Float seq_s);
+            ("par_s", Json.Float par_s);
+            ("jobs", Json.Int w.par_jobs);
+            ("speedup", Json.Float speedup);
+          ] );
+      ( "jobs_curve",
+        Json.Obj
+          [
+            ("circuits", Json.List (List.map (fun n -> Json.String n) w.table_names));
+            ("sim_cycles", Json.Int w.sim_cycles);
+            ("points", Json.List jobs_curve);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Scaling curve: generated 10^5..10^6-gate circuits                   *)
+(* Scaling: generated 10^4..10^6-gate circuits                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Sizing defaults are shared with `rar generate` via
-   Rar_circuits.Defaults, so a curve row is reproducible from the CLI
-   with the same gate count. *)
-let scale_spec ~gates = Rar_circuits.Defaults.scale_spec ~gates
 
 (* Run [f] under armed tracing and metrics; return its result plus the
    summed inclusive wall seconds per span name — the per-phase
-   breakdown of each scaling row — and the counter snapshot (pivot and
-   pruning effort alongside the wall clock). *)
+   breakdown of each scaling row — and the counter snapshot. *)
 let span_totals f =
   Rar_obs.Trace.clear ();
   Rar_obs.Trace.arm ();
@@ -384,173 +431,94 @@ let span_totals f =
     List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) totals []),
     counters )
 
-(* The flow-engine effort counters published in every scaling row:
-   solver work (pivots, the block-pricing hit rate that keeps full
+(* The flow-engine effort counters published in every scaling and ECO
+   row: solver work (pivots, the block-pricing hit rate that keeps full
    sweeps rare), LP-prep pruning, and the parallel-FEAS sweep count.
-   Fixed whitelist so the row shape is stable; absent counters emit 0. *)
-let scale_counter_keys =
-  [
-    "netsimplex_pivots";
-    "netsimplex_block_hits";
-    "netsimplex_cycle_arcs";
-    "netsimplex_shift_nodes";
-    "endpoints_pruned";
-    "feas_parallel_sweeps";
-  ]
-
+   Fixed whitelist so the row shape is stable; absent counters are 0. *)
 let counters_json counters =
-  String.concat ", "
+  Json.Obj
     (List.map
-       (fun k ->
-         Printf.sprintf "\"%s\": %d" (json_escape k)
-           (Option.value ~default:0 (List.assoc_opt k counters)))
-       scale_counter_keys)
+       (fun k -> (k, Json.Int (Option.value ~default:0 (List.assoc_opt k counters))))
+       [
+         "netsimplex_pivots";
+         "netsimplex_block_hits";
+         "netsimplex_cycle_arcs";
+         "netsimplex_shift_nodes";
+         "endpoints_pruned";
+         "feas_parallel_sweeps";
+       ])
 
-let scale_entry ~name ~gates ~path ~phases ~spans ~counters ~stats =
-  let kv (k, v) = Printf.sprintf "\"%s\": %.4f" (json_escape k) v in
-  Printf.sprintf
-    "{ \"circuit\": \"%s\", \"gates\": %d, \"path\": \"%s\", \"phases\": { \
-     %s }, \"spans\": { %s }, \"counters\": { %s }%s }"
-    (json_escape name) gates (json_escape path)
-    (String.concat ", " (List.map kv phases))
-    (String.concat ", " (List.map kv spans))
-    (counters_json counters)
-    (if stats = "" then "" else ", " ^ stats)
+(* A scaling row: generate a circuit with the sizing shared with
+   `rar generate` (Rar_circuits.Defaults), so a row is reproducible
+   from the CLI with the same gate count, then time one pipeline on it.
+   [Feas] is end-to-end classic min-period retiming through the
+   matrix-free FEAS route — the only classic path that fits 10^6 gates.
+   [Grar] is prepare + stage + G-RAR engine, the paper pipeline. *)
+type leg = Feas of int | Grar of int
 
-(* End-to-end classic min-period retiming through the matrix-free FEAS
-   route: generate, build the retiming graph, bisect with FEAS,
-   realise the retimed netlist. The only classic path that fits a
-   10^6-gate circuit. *)
-let scale_classic_feas ~gates =
-  let spec = scale_spec ~gates in
-  let net, generate_s =
-    time_wall (fun () -> Rar_circuits.Generator.generate spec)
-  in
+let feas_leg net =
   let lib = Rar_liberty.Liberty.default () in
-  let (res, spans, counters), retime_s =
-    time_wall (fun () ->
-        span_totals (fun () ->
-            let g =
-              Rar_retime.Classic.of_netlist ~host_registers:1 ~lib net
-            in
-            (Rar_retime.Classic.period_of g,
-             ok (Rar_retime.Classic.retime_feas g))))
-  in
-  let p0, o = res in
-  Printf.printf
-    "  classic_feas %9d gates: gen %6.2fs, retime %6.2fs, %.3f -> %.3f ns, \
-     %d -> %d regs\n%!"
-    gates generate_s retime_s p0 o.Rar_retime.Classic.achieved_period
-    o.Rar_retime.Classic.registers_before
-    o.Rar_retime.Classic.registers_after;
-  scale_entry ~name:spec.Rar_circuits.Spec.name ~gates ~path:"classic_feas"
-    ~phases:[ ("generate_s", generate_s); ("retime_s", retime_s) ]
-    ~spans ~counters
-    ~stats:
-      (Printf.sprintf
-         "\"period_before_ns\": %.4f, \"period_after_ns\": %.4f, \
-          \"registers_before\": %d, \"registers_after\": %d"
-         p0 o.Rar_retime.Classic.achieved_period
-         o.Rar_retime.Classic.registers_before
-         o.Rar_retime.Classic.registers_after)
+  let g = Classic.of_netlist ~host_registers:1 ~lib net in
+  let p0 = Classic.period_of g in
+  let o = ok (Classic.retime_feas g) in
+  ( Printf.sprintf "%.3f -> %.3f ns, %d -> %d regs" p0
+      o.Classic.achieved_period o.Classic.registers_before
+      o.Classic.registers_after,
+    [
+      ("period_before_ns", Json.Float p0);
+      ("period_after_ns", Json.Float o.Classic.achieved_period);
+      ("registers_before", Json.Int o.Classic.registers_before);
+      ("registers_after", Json.Int o.Classic.registers_after);
+    ] )
 
-(* End-to-end G-RAR (prepare + stage + engine) on a generated circuit:
-   the paper pipeline's cost at scale, with the sta/wd/solver span
-   split. *)
-let scale_grar ~gates =
-  let spec = scale_spec ~gates in
+let grar_leg net =
+  let p = Suite.prepare net in
+  let st =
+    ok (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc)
+  in
+  let o = (ok (Grar.run_on_stage ~c:1.0 st)).Grar.outcome in
+  ( Printf.sprintf "P %.3f ns, %d slaves, %d EDLs" p.Suite.p o.Outcome.n_slaves
+      (Outcome.ed_count o),
+    [
+      ("p_ns", Json.Float p.Suite.p);
+      ("n_slaves", Json.Int o.Outcome.n_slaves);
+      ("edl_count", Json.Int (Outcome.ed_count o));
+      ("total_area", Json.Float o.Outcome.total_area);
+    ] )
+
+let run_leg leg =
+  let t0 = Rar_util.Clock.now_s () in
+  let path, run_key, run, gates =
+    match leg with
+    | Feas gates -> ("classic_feas", "retime_s", feas_leg, gates)
+    | Grar gates -> ("grar", "run_s", grar_leg, gates)
+  in
+  let spec = Rar_circuits.Defaults.scale_spec ~gates in
   let net, generate_s =
     time_wall (fun () -> Rar_circuits.Generator.generate spec)
   in
-  let (res, spans, counters), run_s =
-    time_wall (fun () ->
-        span_totals (fun () ->
-            let p = Suite.prepare net in
-            let st =
-              ok
-                (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking
-                   p.Suite.cc)
-            in
-            (p, ok (Grar.run_on_stage ~c:1.0 st))))
+  let ((summary, stats), spans, counters), run_s =
+    time_wall (fun () -> span_totals (fun () -> run net))
   in
-  let p, r = res in
-  let o = r.Grar.outcome in
-  Printf.printf
-    "  grar         %9d gates: gen %6.2fs, run    %6.2fs, P %.3f ns, %d \
-     slaves, %d EDLs\n%!"
-    gates generate_s run_s p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o);
-  scale_entry ~name:spec.Rar_circuits.Spec.name ~gates ~path:"grar"
-    ~phases:[ ("generate_s", generate_s); ("run_s", run_s) ]
-    ~spans ~counters
-    ~stats:
-      (Printf.sprintf
-         "\"p_ns\": %.4f, \"n_slaves\": %d, \"edl_count\": %d, \
-          \"total_area\": %.2f"
-         p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o)
-         o.Outcome.total_area)
-
-(* G-RAR stages every endpoint cone through STA and solves the full
-   flow LP, so its cost grows superlinearly. With the O(cycle +
-   min-side) simplex pivot and block pricing it runs in ~36 s at 25k
-   gates (down from ~190 s) and ~4 min at 50k on the single-core
-   reference container; at 100k the simplex pivot count itself turns
-   super-linear (2.6M+ pivots vs 280k at 25k) and the solve does not
-   finish within an hour, so the larger points stay FEAS-only. The
-   curve keeps G-RAR points at the tractable sizes and says so when
-   it skips one, rather than silently thinning the curve. *)
-let grar_max_gates = 50_000
-
-(* Must run on a fresh heap, before the bechamel kernels and the table
-   grids: those sections leave a fragmented multi-GB free list behind
-   (and OCaml 5.1's [Gc.compact] cannot defragment — heap compaction
-   only returned in 5.2). *)
-let run_scaling () =
-  Printf.printf "\n== Scaling curve (generated circuits) ==\n%!";
-  let sizes =
-    match Sys.getenv_opt "RAR_BENCH_SCALE" with
-    | Some s -> (
-      match List.filter_map int_of_string_opt (String.split_on_char ',' s) with
-      | [] -> [ 25_000; 100_000; 1_000_000 ]
-      | ss -> ss)
-    | None -> [ 25_000; 100_000; 1_000_000 ]
-  in
-  List.concat_map
-    (fun gates ->
-      let f = scale_classic_feas ~gates in
-      if gates <= grar_max_gates then [ f; scale_grar ~gates ]
-      else begin
-        Printf.printf
-          "  grar         %9d gates: skipped (> %d-gate G-RAR bound)\n%!"
-          gates grar_max_gates;
-        [ f ]
-      end)
-    sizes
-
-let run_jobs_curve ~table_names ~sim_cycles =
-  Printf.printf "\n== Jobs sweep: all_tables at --jobs %s ==\n%!"
-    (String.concat "," (List.map string_of_int jobs_sweep));
-  let base = ref None in
-  let entries =
-    List.map
-      (fun j ->
-        let dt = wall_all_tables ~jobs:j ~names:table_names ~sim_cycles in
-        let eff = Rar_util.Pool.effective_jobs () in
-        if !base = None then base := Some dt;
-        let speedup = Option.get !base /. Float.max 1e-9 dt in
-        Printf.printf "  jobs=%d (effective %d): %.3fs (%.2fx vs first)\n%!"
-          j eff dt speedup;
-        Printf.sprintf
-          "{ \"jobs_requested\": %d, \"jobs_effective\": %d, \
-           \"all_tables_s\": %.4f, \"speedup_vs_first\": %.2f }"
-          j eff dt speedup)
-      jobs_sweep
-  in
-  Rar_util.Pool.set_jobs 1;
-  entries
+  Printf.printf "  %-12s %9d gates: gen %6.2fs, %s %6.2fs, %s\n%!" path gates
+    generate_s run_key run_s summary;
+  Json.Obj
+    ([
+       ("circuit", Json.String spec.Rar_circuits.Spec.name);
+       ("gates", Json.Int gates);
+       ("path", Json.String path);
+       ("total_s", Json.Float (Rar_util.Clock.now_s () -. t0));
+       ("phases", floats [ ("generate_s", generate_s); (run_key, run_s) ]);
+       ("spans", floats spans);
+       ("counters", counters_json counters);
+     ]
+    @ stats)
 
 (* ------------------------------------------------------------------ *)
 (* ECO: cold solve vs session edit-and-resolve                         *)
 (* ------------------------------------------------------------------ *)
+
+type eco = { gates : int; batches : int; edits_per_batch : int }
 
 (* [k] gate names spread across the deepest two-fifths of the node-id
    range of a generated circuit (the generator emits gates in layer
@@ -571,32 +539,24 @@ let eco_edit_targets net k =
   List.init k (fun j ->
       N.node_name net gates.(base + ((j + 1) * (m - base) / (k + 2))))
 
-type eco_stats = {
-  eco_circuit : string;
-  eco_gates : int;
-  eco_stage_s : float;  (* cold Stage.make *)
-  eco_warm_s : float;  (* first (cache-priming) resolve *)
-  eco_resolve_s : float list;  (* steady-state edit batches *)
-  eco_cold_s : float;  (* cold re-solve of the edited netlist *)
-  eco_identical : bool;  (* session result = cold result *)
-  eco_counters : (string * int) list;  (* solver-effort counters *)
-}
-
-(* Cold-open a G-RAR run on a generated [gates]-gate circuit, resolve
-   [n_batches] small delay-annotation batches through an engine
-   session, then cold re-solve the cumulatively edited netlist and
-   check the session's last result against it. The G-RAR LP is built
-   from the stage's discrete data only (regions, sink classes, cut
-   sets, fanout groups), so annotations too small to flip a
-   classification leave the LP byte-identical and steady-state
-   resolves replay the cached solution: the measured speedup is
-   cone-limited re-analysis plus a solve-cache hit versus the full
-   cold stage + solve pipeline. The first resolve (empty batch) pays
-   the one-time cache-priming solve and is reported separately. *)
-let eco_measure ~gates ~n_batches ~edits_per_batch =
+(* Cold-open a G-RAR run on a generated circuit, resolve small
+   delay-annotation batches through an engine session, then cold
+   re-solve the cumulatively edited netlist and check the session's
+   last result against it. The G-RAR LP is built from the stage's
+   discrete data only (regions, sink classes, cut sets, fanout groups),
+   so annotations too small to flip a classification leave the LP
+   byte-identical and steady-state resolves replay the cached solution:
+   the measured speedup is cone-limited re-analysis plus a solve-cache
+   hit versus the full cold stage + solve pipeline. The first resolve
+   (empty batch) pays the one-time cache-priming solve and is reported
+   separately. The headline speedup uses the *median* resolve: an edit
+   that does flip a downstream classification legitimately pays a
+   genuine re-solve, and one such batch must not mask the steady-state
+   cost of the others (every per-batch time is still reported). *)
+let run_eco e =
   Rar_obs.Metrics.reset ();
   Rar_obs.Metrics.arm ();
-  let spec = scale_spec ~gates in
+  let spec = Rar_circuits.Defaults.scale_spec ~gates:e.gates in
   let net = Rar_circuits.Generator.generate spec in
   let p = Suite.prepare net in
   let cfg = Engine.config ~c:1.0 Engine.Grar in
@@ -607,10 +567,10 @@ let eco_measure ~gates ~n_batches ~edits_per_batch =
   let comb = p.Suite.cc.Transform.comb in
   let session = Engine.open_session cfg stage0 in
   let r0, warm_s = time_wall (fun () -> ok (Engine.resolve session [])) in
-  let names = eco_edit_targets comb (n_batches * edits_per_batch) in
+  let names = eco_edit_targets comb (e.batches * e.edits_per_batch) in
   let batches =
-    List.init n_batches (fun b ->
-        List.filteri (fun i _ -> i / edits_per_batch = b) names
+    List.init e.batches (fun b ->
+        List.filteri (fun i _ -> i / e.edits_per_batch = b) names
         |> List.map (fun node ->
                Transform.Edit.Annotate { node; extra = 0.0001 }))
   in
@@ -640,344 +600,39 @@ let eco_measure ~gates ~n_batches ~edits_per_batch =
   in
   let counters, _ = Rar_obs.Metrics.snapshot () in
   Rar_obs.Metrics.disarm ();
-  Printf.printf
-    "  eco %7d gates: stage %6.2fs, cold %6.2fs, warm-up %6.2fs, %d batches \
-     mean %6.3fs, identical %b\n%!"
-    gates stage_s cold_s warm_s n_batches
-    (List.fold_left ( +. ) 0. resolve_s /. float_of_int (List.length resolve_s))
-    identical;
-  {
-    eco_circuit = spec.Rar_circuits.Spec.name;
-    eco_gates = gates;
-    eco_stage_s = stage_s;
-    eco_warm_s = warm_s;
-    eco_resolve_s = resolve_s;
-    eco_cold_s = cold_s;
-    eco_identical = identical;
-    eco_counters = counters;
-  }
-
-(* The headline ratio uses the *median* resolve: an edit that does
-   flip a downstream classification legitimately pays a genuine
-   re-solve, and one such batch must not mask the steady-state cost
-   of the others (every per-batch time is still reported). *)
-let eco_json st =
-  let n = max 1 (List.length st.eco_resolve_s) in
-  let mean = List.fold_left ( +. ) 0. st.eco_resolve_s /. float_of_int n in
+  let n = List.length resolve_s in
+  let mean = List.fold_left ( +. ) 0. resolve_s /. float_of_int (max 1 n) in
   let median =
-    match List.sort compare st.eco_resolve_s with
+    match List.sort compare resolve_s with
     | [] -> 0.
     | sorted -> List.nth sorted ((n - 1) / 2)
   in
-  Printf.sprintf
-    "{ \"circuit\": \"%s\", \"gates\": %d, \"engine\": \"grar\", \
-     \"stage_make_s\": %.4f, \"cold_solve_s\": %.4f, \"warmup_resolve_s\": \
-     %.4f, \"resolve_s\": [%s], \"mean_resolve_s\": %.4f, \
-     \"median_resolve_s\": %.4f, \"speedup\": %.2f, \"identical\": %b, \
-     \"counters\": { %s } }"
-    (json_escape st.eco_circuit)
-    st.eco_gates st.eco_stage_s st.eco_cold_s st.eco_warm_s
-    (String.concat ", " (List.map (Printf.sprintf "%.4f") st.eco_resolve_s))
-    mean median
-    (st.eco_cold_s /. Float.max 1e-9 median)
-    st.eco_identical
-    (counters_json st.eco_counters)
-
-let write_bench_eval ~eco ~kernels ~resilience ~par_jobs ~stage_names
-    ~table_names ~sim_cycles ~stage_seq ~stage_par ~tables_seq ~tables_par
-    ~scaling ~jobs_curve =
-  let path = "BENCH_eval.json" in
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  let str_list names =
-    String.concat ", "
-      (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) names)
-  in
-  pr "{\n";
-  pr "  \"schema\": \"rar-bench-eval/1\",\n";
-  pr
-    "  \"host\": { \"cores\": %d, \"jobs_effective\": %d, \"rar_jobs_env\": \
-     %s },\n"
-    (Domain.recommended_domain_count ())
-    jobs_effective
-    (match Sys.getenv_opt "RAR_JOBS" with
-    | Some v -> Printf.sprintf "\"%s\"" (json_escape v)
-    | None -> "null");
-  pr "  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      pr "    { \"name\": \"%s\", \"ns_per_run\": %.1f }%s\n"
-        (json_escape name) ns
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  pr "  ],\n";
-  pr "  \"resilience\": {%s},\n"
-    (if resilience = [] then " "
-     else
-       " "
-       ^ String.concat ", "
-           (List.map
-              (fun (label, r) ->
-                Printf.sprintf "\"%s\": %.4f" (json_escape label) r)
-              resilience)
-       ^ " ");
-  pr "  \"wallclock\": {\n";
-  pr
-    "    \"stage_make\": { \"circuits\": [%s], \"seq_s\": %.4f, \"par_s\": \
-     %.4f, \"jobs\": %d, \"speedup\": %.2f },\n"
-    (str_list stage_names) stage_seq stage_par par_jobs
-    (stage_seq /. Float.max 1e-9 stage_par);
-  pr
-    "    \"all_tables\": { \"circuits\": [%s], \"sim_cycles\": %d, \"seq_s\": \
-     %.4f, \"par_s\": %.4f, \"jobs\": %d, \"speedup\": %.2f }\n"
-    (str_list table_names) sim_cycles tables_seq tables_par par_jobs
-    (tables_seq /. Float.max 1e-9 tables_par);
-  pr "  },\n";
-  pr "  \"eco\": %s,\n" eco;
-  let arr indent xs =
-    if xs = [] then "[]"
-    else
-      Printf.sprintf "[\n%s%s\n%s]"
-        (String.concat ",\n"
-           (List.map (fun e -> indent ^ "  " ^ e) xs))
-        "" indent
-  in
-  pr "  \"scaling\": {\n";
-  pr "    \"curve\": %s,\n" (arr "    " scaling);
-  pr "    \"jobs_curve\": %s\n" (arr "    " jobs_curve);
-  pr "  }\n";
-  pr "}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
-
-let run_eval_json ~scaling kernels =
-  let par_jobs =
-    match Sys.getenv_opt "RAR_BENCH_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | Some _ | None -> 4)
-    | None -> 4
-  in
-  let stage_names = [ "s1423"; "s5378" ] in
-  let table_names = [ "s1196"; "s1238"; "s1423" ] in
-  let sim_cycles = 50 in
+  let speedup = cold_s /. Float.max 1e-9 median in
   Printf.printf
-    "\n== Wall clock: sequential vs %d-domain pool ==\n%!" par_jobs;
-  let stage_seq = wall_stage_make ~jobs:1 ~names:stage_names in
-  let stage_par = wall_stage_make ~jobs:par_jobs ~names:stage_names in
-  Printf.printf "  Stage.make   %s: %.3fs seq, %.3fs par (%.2fx)\n%!"
-    (String.concat "+" stage_names) stage_seq stage_par
-    (stage_seq /. Float.max 1e-9 stage_par);
-  let tables_seq = wall_all_tables ~jobs:1 ~names:table_names ~sim_cycles in
-  let tables_par =
-    wall_all_tables ~jobs:par_jobs ~names:table_names ~sim_cycles
-  in
-  Printf.printf "  all_tables   %s: %.3fs seq, %.3fs par (%.2fx)\n%!"
-    (String.concat "+" table_names) tables_seq tables_par
-    (tables_seq /. Float.max 1e-9 tables_par);
-  Rar_util.Pool.set_jobs 1;
-  let resilience =
-    overhead_ratios kernels
-      [
-        ( "deadline_overhead_ratio",
-          "g/resilience/classic_deadline",
-          "g/ablation/classic_retiming" );
-        ( "verify_overhead_ratio",
-          "g/resilience/solve_verify",
-          "g/resilience/solve_noverify" );
-        ( "fallback_overhead_ratio",
-          "g/resilience/fallback_timeout",
-          "g/resilience/solve_verify" );
-      ]
-    @ [ ("trace_overhead_ratio", paired_trace_ratio classic_pipeline) ]
-  in
-  List.iter
-    (fun (label, r) -> Printf.printf "  %-28s %12.3fx\n%!" label r)
-    resilience;
-  let jobs_curve = run_jobs_curve ~table_names ~sim_cycles in
-  Printf.printf "\n== ECO: cold solve vs edit-and-resolve ==\n%!";
-  let eco =
-    eco_json (eco_measure ~gates:25_000 ~n_batches:4 ~edits_per_batch:3)
-  in
-  write_bench_eval ~eco ~kernels ~resilience ~par_jobs ~stage_names
-    ~table_names ~sim_cycles ~stage_seq ~stage_par ~tables_seq ~tables_par
-    ~scaling ~jobs_curve
+    "  eco %7d gates: stage %6.2fs, cold %6.2fs, warm-up %6.2fs, %d batches \
+     median %6.3fs (%.1fx), identical %b\n%!"
+    e.gates stage_s cold_s warm_s n median speedup identical;
+  Json.Obj
+    [
+      ("circuit", Json.String spec.Rar_circuits.Spec.name);
+      ("gates", Json.Int e.gates);
+      ("engine", Json.String "grar");
+      ("stage_make_s", Json.Float stage_s);
+      ("cold_solve_s", Json.Float cold_s);
+      ("warmup_resolve_s", Json.Float warm_s);
+      ("resolve_s", Json.List (List.map (fun s -> Json.Float s) resolve_s));
+      ("mean_resolve_s", Json.Float mean);
+      ("median_resolve_s", Json.Float median);
+      ("speedup", Json.Float speedup);
+      ("identical", Json.Bool identical);
+      ("counters", counters_json counters);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* CI bench smoke                                                      *)
+(* Ablations (full mode, printed only)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* RAR_BENCH_SMOKE=1 selects a seconds-long subset that pushes a tiny
-   circuit through the same Bechamel + JSON plumbing: CI validates the
-   emitted rar-bench-eval/1 document and compares the
-   smoke/classic_retiming estimate against the checked-in floor
-   (bench/smoke_floor.json), failing on a > 2x regression. *)
-
-let smoke_net =
-  lazy
-    (let spec =
-       {
-         (Option.get (Rar_circuits.Spec.find "s1196")) with
-         Rar_circuits.Spec.n_gates = 150;
-         depth = 8;
-       }
-     in
-     Rar_circuits.Generator.generate spec)
-
-let smoke_graph () =
-  let lib = Rar_liberty.Liberty.default () in
-  Rar_retime.Classic.of_netlist ~host_registers:1 ~lib (Lazy.force smoke_net)
-
-let smoke_pipeline () =
-  let g = smoke_graph () in
-  let pmin = Rar_retime.Classic.min_period g in
-  ignore (ok (Rar_retime.Classic.retime g ~period:pmin))
-
-let smoke_tests =
-  [
-    Test.make ~name:"smoke/classic_retiming"
-      (Staged.stage smoke_pipeline);
-    Test.make ~name:"smoke/classic_deadline" (Staged.stage (fun () ->
-        let g = smoke_graph () in
-        let deadline = far_deadline () in
-        let pmin = Rar_retime.Classic.min_period ~deadline g in
-        ignore (ok (Rar_retime.Classic.retime ~deadline g ~period:pmin))));
-    Test.make ~name:"smoke/classic_trace" (Staged.stage (fun () ->
-        with_tracing smoke_pipeline));
-  ]
-
-let run_smoke () =
-  let kernels =
-    measure_kernels
-      ~banner:"== Bechamel smoke kernels (generated 150-gate circuit) =="
-      smoke_tests
-  in
-  let par_jobs = 2 in
-  let stage_names = [ "s1196" ] in
-  let table_names = [ "s1196" ] in
-  let sim_cycles = 5 in
-  Printf.printf "\n== Wall clock (smoke): sequential vs %d-domain pool ==\n%!"
-    par_jobs;
-  let stage_seq = wall_stage_make ~jobs:1 ~names:stage_names in
-  let stage_par = wall_stage_make ~jobs:par_jobs ~names:stage_names in
-  let tables_seq = wall_all_tables ~jobs:1 ~names:table_names ~sim_cycles in
-  let tables_par =
-    wall_all_tables ~jobs:par_jobs ~names:table_names ~sim_cycles
-  in
-  Rar_util.Pool.set_jobs 1;
-  let resilience =
-    overhead_ratios kernels
-      [
-        ( "deadline_overhead_ratio",
-          "g/smoke/classic_deadline",
-          "g/smoke/classic_retiming" );
-      ]
-    @ [ ("trace_overhead_ratio", paired_trace_ratio smoke_pipeline) ]
-  in
-  List.iter
-    (fun (label, r) -> Printf.printf "  %-28s %12.3fx\n%!" label r)
-    resilience;
-  let jobs_curve = run_jobs_curve ~table_names ~sim_cycles in
-  Printf.printf "\n== ECO smoke: cold solve vs edit-and-resolve ==\n%!";
-  let eco =
-    eco_json (eco_measure ~gates:2_000 ~n_batches:2 ~edits_per_batch:2)
-  in
-  write_bench_eval ~eco ~kernels ~resilience ~par_jobs ~stage_names
-    ~table_names ~sim_cycles ~stage_seq ~stage_par ~tables_seq ~tables_par
-    ~scaling:[] ~jobs_curve
-
-(* RAR_BENCH_SCALE_SMOKE=1: one 10^5-gate classic-FEAS row plus one
-   gated G-RAR row through the scaling plumbing, written to
-   BENCH_scale.json and gated in CI against the wall-clock ceilings in
-   bench/smoke_floor.json (scale_total_max_s for FEAS,
-   grar_scale_max_s for the G-RAR row) — so neither the million-gate
-   FEAS path nor the flow-engine hot paths (block-priced simplex,
-   pooled LP prep) can silently regress. Schema rar-bench-scale/2:
-   rows carry a "counters" object with the solver-effort counters. *)
-let run_scale_smoke () =
-  let gates =
-    match Sys.getenv_opt "RAR_BENCH_SCALE" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 100_000)
-    | None -> 100_000
-  in
-  let grar_gates =
-    match Sys.getenv_opt "RAR_BENCH_SCALE_GRAR" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 25_000)
-    | None -> 25_000
-  in
-  Printf.printf "== Scale smoke (%d gates classic FEAS, %d gates G-RAR) ==\n%!"
-    gates grar_gates;
-  let feas_entry, feas_s = time_wall (fun () -> scale_classic_feas ~gates) in
-  let grar_entry, grar_s =
-    time_wall (fun () -> scale_grar ~gates:grar_gates)
-  in
-  let total_s = feas_s +. grar_s in
-  let path = "BENCH_scale.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"rar-bench-scale/2\",\n\
-    \  \"host\": { \"cores\": %d },\n\
-    \  \"total_s\": %.4f,\n\
-    \  \"feas_s\": %.4f,\n\
-    \  \"grar_s\": %.4f,\n\
-    \  \"curve\": [\n\
-    \    %s,\n\
-    \    %s\n\
-    \  ]\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    total_s feas_s grar_s feas_entry grar_entry;
-  close_out oc;
-  Printf.printf "\nwrote %s (%.1fs total)\n%!" path total_s
-
-(* RAR_BENCH_ECO_SMOKE=1: the gated edit-and-resolve measurement on a
-   25k-gate generated circuit (the largest size G-RAR is tractable
-   at), written to BENCH_eco.json. CI requires speedup >=
-   eco_speedup_min_ratio (bench/smoke_floor.json) and identical =
-   true: a steady-state session resolve must beat the cold
-   stage-analysis + LP-solve pipeline by the floor ratio while
-   producing the same verified outcome. RAR_BENCH_ECO_GATES overrides
-   the size for local iteration. *)
-let run_eco_smoke () =
-  let gates =
-    match Sys.getenv_opt "RAR_BENCH_ECO_GATES" with
-    | Some s -> (
-      match int_of_string_opt s with Some g when g > 0 -> g | _ -> 25_000)
-    | None -> 25_000
-  in
-  Printf.printf "== ECO smoke (%d gates, grar edit-and-resolve) ==\n%!" gates;
-  let st, total_s =
-    time_wall (fun () -> eco_measure ~gates ~n_batches:4 ~edits_per_batch:3)
-  in
-  let path = "BENCH_eco.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"rar-bench-eco/1\",\n\
-    \  \"host\": { \"cores\": %d },\n\
-    \  \"total_s\": %.4f,\n\
-    \  \"eco\": %s\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    total_s (eco_json st);
-  close_out oc;
-  Printf.printf "\nwrote %s (%.1fs total)\n%!" path total_s
-
-let run_tables () =
-  let names =
-    if Sys.getenv_opt "RAR_BENCH_FULL" = Some "1" then
-      Rar_circuits.Spec.names
-    else [ "s1196"; "s1238"; "s1423"; "s1488"; "s5378" ]
-  in
-  let t = Report.create ~names ~sim_cycles:200 () in
-  List.iter
-    (fun (_, title, body) ->
-      Printf.printf "\n%s\n\n%s%!" title body)
-    (Report.all_tables t)
-
-(* Ablation: how much of the EDL saving survives once the error-signal
+(* How much of the EDL saving survives once the error-signal
    collection tree (folded into c by the paper) is made explicit. *)
 let run_cluster_ablation () =
   let lib = (Lazy.force prepared).Suite.lib in
@@ -996,8 +651,8 @@ let run_cluster_ablation () =
     (ok (Vl.run_on_stage ~c:1.0 Vl.Rvl (Lazy.force stage_path))).Vl.outcome;
   show "grar" (Lazy.force grar_result).Engine.outcome
 
-(* Ablation: resynthesis (buffer cleanup + timing-driven decomposition
-   of wide gates) before retiming — the paper's related-work lever. *)
+(* Resynthesis (buffer cleanup + timing-driven decomposition of wide
+   gates) before retiming — the paper's related-work lever. *)
 let run_resynth_ablation () =
   let lib = Rar_liberty.Liberty.default () in
   Printf.printf "\n== Ablation: resynthesis before retiming (circuit %s, c = 1) ==\n"
@@ -1031,16 +686,160 @@ let run_resynth_ablation () =
   show "original" net;
   show "resynthesised" net'
 
-let () =
-  if Sys.getenv_opt "RAR_BENCH_ECO_SMOKE" = Some "1" then run_eco_smoke ()
-  else if Sys.getenv_opt "RAR_BENCH_SCALE_SMOKE" = Some "1" then
-    run_scale_smoke ()
-  else if Sys.getenv_opt "RAR_BENCH_SMOKE" = Some "1" then run_smoke ()
-  else begin
-    let scaling = run_scaling () in
-    let kernels = run_benchmarks () in
-    run_eval_json ~scaling kernels;
+(* ------------------------------------------------------------------ *)
+(* Modes                                                               *)
+(* ------------------------------------------------------------------ *)
+
+type profile = {
+  subject : string;  (* what the kernels run on *)
+  scaling : leg list;
+  kernels : Test.t list;
+  overheads : (string * ((unit -> unit) * (unit -> unit))) list;
+  wallclock : wallclock option;
+  eco : eco option;
+  ablations : bool;
+}
+
+let none =
+  {
+    subject = "";
+    scaling = [];
+    kernels = [];
+    overheads = [];
+    wallclock = None;
+    eco = None;
+    ablations = false;
+  }
+
+let profiles =
+  [
+    ( "full",
+      {
+        subject = "circuit " ^ circuit;
+        scaling = [ Feas 25_000; Grar 25_000; Feas 100_000; Feas 1_000_000 ];
+        kernels = tests;
+        overheads = classic_overheads @ solve_overheads;
+        wallclock =
+          Some
+            {
+              stage_names = [ "s1423"; "s5378" ];
+              par_jobs = 4;
+              table_names = [ "s1196"; "s1238"; "s1423" ];
+              sim_cycles = 50;
+            };
+        eco = Some { gates = 25_000; batches = 4; edits_per_batch = 3 };
+        ablations = true;
+      } );
+    ( "smoke",
+      {
+        none with
+        subject = "generated 150-gate circuit";
+        kernels = smoke_tests;
+        overheads = classic_overheads;
+        wallclock =
+          Some
+            {
+              stage_names = [ "s1196" ];
+              par_jobs = 2;
+              table_names = [ "s1196" ];
+              sim_cycles = 5;
+            };
+        eco = Some { gates = 2_000; batches = 2; edits_per_batch = 2 };
+      } );
+    ("scale", { none with scaling = [ Feas 100_000; Grar 25_000 ] });
+    ("eco", { none with eco = Some { gates = 25_000; batches = 4; edits_per_batch = 3 } });
+  ]
+
+(* Sections run in this order. Scaling goes first: it must run on a
+   fresh heap, before the bechamel kernels and the table grids leave a
+   fragmented multi-GB free list behind (OCaml 5.1's [Gc.compact]
+   cannot defragment — heap compaction only returned in 5.2). *)
+let run mode p =
+  let t0 = Rar_util.Clock.now_s () in
+  let section title = Printf.printf "\n== %s ==\n%!" title in
+  let scaling =
+    if p.scaling = [] then []
+    else begin
+      section "Scaling (generated circuits)";
+      [ ("scaling", Json.List (List.map run_leg p.scaling)) ]
+    end
+  in
+  let kernels =
+    if p.kernels = [] then []
+    else begin
+      section ("Bechamel kernels (" ^ p.subject ^ ", monotonic clock)");
+      [ ("kernels", Json.List (measure_kernels p.kernels)) ]
+    end
+  in
+  let overheads =
+    if p.overheads = [] then []
+    else begin
+      section "Overheads: armed vs plain, paired rounds";
+      Rar_util.Pool.set_jobs 1;
+      [
+        ( "overheads",
+          floats
+            (List.map
+               (fun (label, pair) ->
+                 let r = paired_ratio pair in
+                 Printf.printf "  %-28s %12.3fx\n%!" label r;
+                 (label, r))
+               p.overheads) );
+      ]
+    end
+  in
+  let wallclock =
+    match p.wallclock with
+    | None -> []
+    | Some w ->
+      section "Wall clock: sequential vs pool";
+      [ ("wallclock", run_wallclock w) ]
+  in
+  let eco =
+    match p.eco with
+    | None -> []
+    | Some e ->
+      section "ECO: cold solve vs edit-and-resolve";
+      [ ("eco", run_eco e) ]
+  in
+  if p.ablations then begin
     run_cluster_ablation ();
-    run_resynth_ablation ();
-    run_tables ()
-  end
+    run_resynth_ablation ()
+  end;
+  let total_s = Rar_util.Clock.now_s () -. t0 in
+  let doc =
+    Json.Obj
+      ([
+         ("schema", Json.String "rar-bench/1");
+         ("mode", Json.String mode);
+         ( "host",
+           Json.Obj
+             [
+               ("cores", Json.Int (Domain.recommended_domain_count ()));
+               ("jobs_effective", Json.Int jobs_effective);
+             ] );
+         ("total_s", Json.Float total_s);
+       ]
+      @ scaling @ kernels @ overheads @ wallclock @ eco)
+  in
+  let path = "BENCH_eval.json" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "\nwrote %s (%.1fs total)\n%!" path total_s
+
+let () =
+  let usage () =
+    Printf.eprintf "usage: %s [%s]\n" Sys.argv.(0)
+      (String.concat "|" (List.map fst profiles));
+    exit 2
+  in
+  let mode =
+    match Sys.argv with
+    | [| _ |] -> "full"
+    | [| _; m |] -> m
+    | _ -> usage ()
+  in
+  match List.assoc_opt mode profiles with
+  | Some p -> run mode p
+  | None -> usage ()

@@ -46,12 +46,42 @@ let jobs_arg =
           "Worker domains for parallel evaluation (default: $(b,RAR_JOBS) \
            or the machine's core count minus one; 1 = fully sequential).")
 
+let read_text path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
+
+(* Every file a verb writes goes through here, so an unwritable path is
+   the usual one-line [rar: <path>: ...] diagnostic, not a crash. *)
+let write_file path text =
+  try Ok (Out_channel.with_open_text path (fun oc -> output_string oc text))
+  with Sys_error msg -> Error msg
+
+(* A verb's rendered output: written to FILE (then "wrote FILE") when
+   one is given, else printed. *)
+let output_to out text =
+  match out with
+  | None -> `Ok (print_string text)
+  | Some path -> (
+    match write_file path text with
+    | Ok () -> `Ok (Printf.printf "wrote %s\n" path)
+    | Error e -> `Error (false, e))
+
 (* Where the rar-trace/1 file goes. Exported via [at_exit] so a single
    arming point covers every subcommand, including ones that fail with
    an error after doing real work. *)
 let trace_sink : string option ref = ref None
 
 let () = at_exit (fun () -> Option.iter Rar_obs.Trace.export_file !trace_sink)
+
+(* Arm tracing into [path]. An unwritable path fails here, before the
+   run, rather than in the at-exit export after it. *)
+let arm_trace path =
+  Result.map
+    (fun () ->
+      trace_sink := Some path;
+      Rar_obs.Trace.clear ();
+      Rar_obs.Trace.arm ())
+    (write_file path "")
 
 (* SIGINT/SIGTERM raise a cooperative cancel through [Deadline]
    instead of killing the process mid-solve: the engine's check sites
@@ -81,9 +111,12 @@ let setup verbose jobs =
   setup_logs verbose;
   install_cancel_handlers ();
   (match Sys.getenv_opt "RAR_TRACE" with
-  | Some path when path <> "" && !trace_sink = None ->
-    trace_sink := Some path;
-    Rar_obs.Trace.arm ()
+  | Some path when path <> "" && !trace_sink = None -> (
+    match arm_trace path with
+    | Ok () -> ()
+    | Error e ->
+      prerr_endline ("rar: " ^ e);
+      exit Cmd.Exit.cli_error)
   | Some _ | None -> ());
   Option.iter Rar_util.Pool.set_jobs jobs
 
@@ -153,10 +186,6 @@ let make_deadline =
   Option.map (fun budget_s -> Rar_util.Deadline.make ~budget_s)
 
 let ctx names sim_cycles = Report.create ?names ~sim_cycles ()
-
-let read_text path =
-  try Ok (In_channel.with_open_bin path In_channel.input_all)
-  with Sys_error msg -> Error msg
 
 (* The netlist a flop-domain verb ([classic], [convert]) works on: a
    suite benchmark's edge-triggered form, or a [--bench] / [--verilog]
@@ -230,13 +259,9 @@ let all_cmd =
              tables)
     in
     print_string text;
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc
-    | None -> ());
-    `Ok ()
+    match Option.map (fun path -> write_file path text) out with
+    | Some (Error e) -> `Error (false, e)
+    | Some (Ok ()) | None -> `Ok ()
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table.")
@@ -328,12 +353,6 @@ let run_cmd =
   in
   let run verbose jobs name approach model format c deadline trace metrics =
     setup verbose jobs;
-    (match trace with
-    | Some path ->
-      trace_sink := Some path;
-      Rar_obs.Trace.clear ();
-      Rar_obs.Trace.arm ()
-    | None -> ());
     if metrics then begin
       Rar_obs.Metrics.reset ();
       Rar_obs.Metrics.arm ()
@@ -342,9 +361,11 @@ let run_cmd =
     let req = Protocol.run_req ~circuit:name cfg in
     let deadline = make_deadline deadline in
     match
-      Exec.run ~deadline:(fun () -> deadline) (Rar_serve.Cache.create ()) req
+      Result.bind (Option.fold ~none:(Ok ()) ~some:arm_trace trace) (fun () ->
+          Exec.run ~deadline:(fun () -> deadline) (Rar_serve.Cache.create ()) req
+          |> Result.map_error (fun f -> f.Exec.message))
     with
-    | Error f -> `Error (false, f.Exec.message)
+    | Error e -> `Error (false, e)
     | Ok (cfg, r) ->
       let metrics_json =
         if metrics then Some (Rar_obs.Metrics.snapshot_json ()) else None
@@ -478,10 +499,7 @@ let dot_cmd =
     setup_logs verbose;
     match Suite.load name with
     | Error e -> `Error (false, e)
-    | Ok p ->
-      Dot.write_file out p.Suite.cc.Transform.comb;
-      Printf.printf "wrote %s\n" out;
-      `Ok ()
+    | Ok p -> output_to (Some out) (Dot.of_netlist p.Suite.cc.Transform.comb)
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export a benchmark's combinational stage as DOT.")
@@ -585,10 +603,12 @@ let trace_cmd =
         ignore (Rar_sim.Vcd.record_cycle vcd ~prev:!prev ~next);
         prev := next
       done;
-      Rar_sim.Vcd.write vcd out;
-      Printf.printf "wrote %d cycles of the G-RAR-retimed %s to %s\n" cycles
-        name out;
-      `Ok ()
+      match write_file out (Rar_sim.Vcd.to_string vcd) with
+      | Error e -> `Error (false, e)
+      | Ok () ->
+        Printf.printf "wrote %d cycles of the G-RAR-retimed %s to %s\n"
+          cycles name out;
+        `Ok ()
     with Report.Engine_failed { what; err } ->
       `Error (false, Printf.sprintf "%s: %s" what (Error.to_string err))
   in
@@ -1037,17 +1057,19 @@ let convert_cmd =
               | `Bench -> Bench_io.print converted
               | `Verilog -> Rar_netlist.Verilog_io.print converted
             in
-            (match out with
-            | Some path ->
-              let oc = open_out path in
-              output_string oc text;
-              close_out oc
-            | None -> print_string text);
-            say "converted %s: %s"
-              (Netlist.name net)
-              (Format.asprintf "%a" Rar_netlist.Convert.pp_stats stats);
-            Option.iter (fun path -> say "wrote %s" path) out;
-            `Ok ())))
+            let written =
+              match out with
+              | Some path -> write_file path text
+              | None -> Ok (print_string text)
+            in
+            match written with
+            | Error e -> `Error (false, e)
+            | Ok () ->
+              say "converted %s: %s"
+                (Netlist.name net)
+                (Format.asprintf "%a" Rar_netlist.Convert.pp_stats stats);
+              Option.iter (fun path -> say "wrote %s" path) out;
+              `Ok ())))
   in
   Cmd.v
     (Cmd.info "convert"
@@ -1147,12 +1169,9 @@ let generate_cmd =
     let st = Stats.compute net in
     Format.printf "%a@." Stats.pp st;
     Printf.printf "generated %s in %.2f s\n" name dt;
-    (match out with
-    | Some path ->
-      Bench_io.write_file path net;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    `Ok ()
+    match out with
+    | None -> `Ok ()
+    | Some _ -> output_to out (Bench_io.print net)
   in
   let run verbose gates depth flops pi po nce seed bias pipe width out =
     setup_logs verbose;
@@ -1231,14 +1250,7 @@ let lib_cmd =
   let run verbose out =
     setup_logs verbose;
     let text = Rar_liberty.Liberty_io.print (Rar_liberty.Liberty.default ()) in
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> print_string text);
-    `Ok ()
+    output_to out text
   in
   Cmd.v
     (Cmd.info "lib"
@@ -1343,14 +1355,7 @@ let sweep_cmd =
         | Report.Csv -> Row.render_csv table
         | Report.Json -> Row.render_json table ^ "\n"
       in
-      (match out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None -> print_string rendered);
-      `Ok ()
+      output_to out rendered
     with Report.Engine_failed { what; err } ->
       `Error (false, Printf.sprintf "%s: %s" what (Error.to_string err))
   in

@@ -226,8 +226,3 @@ let print net =
         (Printf.sprintf "%s = %s(%s)\n" (Netlist.node_name net v) op (args v))
   done;
   Buffer.contents buf
-
-let write_file path net =
-  let oc = open_out path in
-  output_string oc (print net);
-  close_out oc

@@ -45,5 +45,3 @@ val print : Netlist.t -> string
     same roles — a converted two-phase design round-trips exactly.
     Gates whose kind has no ".bench" spelling (AOI/OAI/MUX) are emitted
     with their library names, which {!parse} also accepts. *)
-
-val write_file : string -> Netlist.t -> unit

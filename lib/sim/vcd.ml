@@ -99,8 +99,3 @@ let to_string t =
       | None -> ())
     events;
   Buffer.contents buf
-
-let write t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

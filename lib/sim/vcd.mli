@@ -1,7 +1,7 @@
 (** VCD (value change dump) writer for simulation traces.
 
-    Records one or more {!Sim.run_cycle} runs and writes a standard
-    VCD file viewable in GTKWave & co. Node values are dumped as
+    Records one or more {!Sim.run_cycle} runs and renders them as
+    standard VCD text viewable in GTKWave & co. Node values are dumped as
     1-bit wires named after the netlist nodes; cycles are laid out
     back-to-back, each offset by one clock period plus the resiliency
     window (so a trace shows exactly where each capture lands relative
@@ -16,8 +16,6 @@ val record_cycle :
 (** Run one cycle through {!Sim.run_cycle}, appending its events to the
     trace. *)
 
-val write : t -> string -> unit
-(** Write the accumulated trace. [timescale] is 1 ps; event times are
-    rounded to it. *)
-
 val to_string : t -> string
+(** Render the accumulated trace as VCD text. [timescale] is 1 ps;
+    event times are rounded to it. *)
