@@ -431,9 +431,10 @@ let span_totals f =
     List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) totals []),
     counters )
 
-(* The flow-engine effort counters published in every scaling and ECO
-   row: solver work (pivots, the block-pricing hit rate that keeps full
-   sweeps rare), LP-prep pruning, and the parallel-FEAS sweep count.
+(* The effort counters published in every scaling and ECO row: solver
+   work (pivots, the block-pricing hit rate that keeps full sweeps
+   rare), LP-prep pruning, the parallel-FEAS sweep count, and stage
+   classification's cone work (Σ|cone| over the classified sinks).
    Fixed whitelist so the row shape is stable; absent counters are 0. *)
 let counters_json counters =
   Json.Obj
@@ -446,6 +447,7 @@ let counters_json counters =
          "netsimplex_shift_nodes";
          "endpoints_pruned";
          "feas_parallel_sweeps";
+         "stage_cone_nodes";
        ])
 
 (* A scaling row: generate a circuit with the sizing shared with

@@ -8,7 +8,18 @@ type instance = {
 
 type outcome = { selected : bool array; best_profit : float }
 
-let solve inst =
+type error = Contradictory | Uncertified of string
+
+let error_to_string = function
+  | Contradictory -> "Closure.solve: contradictory forced selections"
+  | Uncertified why -> "Closure.solve: min-cut certificate failed: " ^ why
+
+(* Relative tolerance of the flow = cut check: Dinic treats residuals
+   up to its 1e-9 epsilon as saturated, so the two sums may differ by
+   rounding, never by a whole edge. *)
+let cert_rel_tol = 1e-7
+
+let solve ?deadline inst =
   if Array.length inst.profit <> inst.n then
     invalid_arg "Closure.solve: profit length mismatch";
   let source = inst.n and sink = inst.n + 1 in
@@ -37,15 +48,26 @@ let solve inst =
   List.iter
     (fun v -> Maxflow.add_edge mf ~src:v ~dst:sink ~cap:inf_cap)
     inst.must_reject;
-  let cut = Maxflow.run mf ~source ~sink in
-  if cut >= inf_cap *. 0.5 then
-    Error "Closure.solve: contradictory forced selections"
+  let flow = Maxflow.run ?deadline mf ~source ~sink in
+  if flow >= inf_cap *. 0.5 then Error Contradictory
   else begin
     let side = Maxflow.min_cut_source_side mf ~source in
-    let selected = Array.init inst.n (fun v -> side.(v)) in
-    let best_profit = ref 0. in
-    Array.iteri
-      (fun v s -> if s then best_profit := !best_profit +. inst.profit.(v))
-      selected;
-    Ok { selected; best_profit = !best_profit }
+    (* Certificate, over the original capacities: the residual source
+       side must exclude the sink and its cut must carry exactly the
+       flow (max-flow = min-cut), which proves the cut minimum. *)
+    let cut = Maxflow.cut_capacity mf side in
+    let gap = Float.abs (flow -. cut) in
+    if side.(sink) then Error (Uncertified "sink reachable from the source")
+    else if gap > cert_rel_tol *. Float.max 1. (Float.abs cut) then
+      Error
+        (Uncertified
+           (Printf.sprintf "flow %.17g <> cut capacity %.17g" flow cut))
+    else begin
+      let selected = Array.init inst.n (fun v -> side.(v)) in
+      let best_profit = ref 0. in
+      Array.iteri
+        (fun v s -> if s then best_profit := !best_profit +. inst.profit.(v))
+        selected;
+      Ok { selected; best_profit = !best_profit }
+    end
   end

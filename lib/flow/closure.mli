@@ -23,6 +23,21 @@ type outcome = {
   best_profit : float;  (** total profit of the selected set *)
 }
 
-val solve : instance -> (outcome, string) result
-(** Errors when a node is both forced selected and rejected (directly
-    or through implications). *)
+type error =
+  | Contradictory
+      (** a node is both forced selected and rejected (directly or
+          through implications) *)
+  | Uncertified of string
+      (** the min-cut certificate rejected the solver's cut *)
+
+val error_to_string : error -> string
+
+val solve :
+  ?deadline:Rar_util.Deadline.t -> instance -> (outcome, error) result
+(** Every returned selection is certified: the sink is unreachable
+    from the source in the residual graph, and the max-flow value
+    equals the capacity of the reported cut over the original
+    capacities (relative tolerance 1e-7) — so the cut is minimum and
+    the closure optimal. [deadline] is checked inside the max-flow
+    (phase ["maxflow"]).
+    @raise Rar_util.Deadline.Expired when it runs out. *)

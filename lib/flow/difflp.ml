@@ -84,99 +84,10 @@ let m_fallbacks = Rar_obs.Metrics.counter "solver_fallbacks"
    order, so fault firing is reproducible under any domain scheduling. *)
 let fault_key t = (t.n * 1_000_003) + Vec.length t.cons
 
-let solve_flow ?deadline ?on_fallback ?(verify = true) t ~reference
-    ~use_simplex =
-  if not (balanced t) then
-    Error "Difflp.solve: objective coefficients do not sum to zero"
-  else begin
-    let p = to_problem t in
-    let key = fault_key t in
-    let from_potentials pi = normalise reference (Array.map (fun x -> -x) pi) in
-    (* Gate every accepted solution on the LP-duality certificate; a
-       solver bug (or an injected [badcert] fault) is caught here and
-       routed to the alternate engine instead of reaching the caller. *)
-    let certify ~faulty eng ~flow ~potentials =
-      if not verify then Ok potentials
-      else begin
-        let report = Certificate.check p ~flow ~potentials in
-        let ok = Certificate.is_optimal report in
-        let ok =
-          if faulty && Faults.flip_certificate ~key then not ok else ok
-        in
-        if ok then Ok potentials
-        else
-          Error
-            (Format.asprintf
-               "%s solution failed the optimality certificate (%a)"
-               (engine_name eng) Certificate.pp report)
-      end
-    in
-    (* Faults only ever perturb the primary attempt ([faulty] = true);
-       the fallback runs clean, so a faulted run still converges. A
-       failed attempt also reports whether the verdict is definitive —
-       a typed statement about the instance itself (unbalanced,
-       infeasible, negative cycle) that no other engine could overturn
-       — so infeasible LPs stop paying a doomed fallback solve.
-       Retryable failures (pivot cap, certificate rejection, injected
-       faults) keep the engine-swap behaviour. *)
-    let attempt ~faulty eng =
-      if faulty && Faults.solver_timeout ~key then
-        Error (Printf.sprintf "%s: injected timeout" (engine_name eng), false)
-      else
-        match eng with
-        | Network_simplex -> (
-          match Netsimplex.solve ?deadline p with
-          | Ok s -> (
-            match
-              certify ~faulty eng ~flow:s.Netsimplex.flow
-                ~potentials:s.Netsimplex.potentials
-            with
-            | Ok pi -> Ok pi
-            | Error e -> Error (e, false))
-          | Error err ->
-            let definitive =
-              match err with
-              | Netsimplex.Unbalanced | Netsimplex.Infeasible
-              | Netsimplex.Unbounded ->
-                true
-              | Netsimplex.Pivot_limit _ -> false
-            in
-            Error (Netsimplex.error_to_string err, definitive))
-        | Ssp -> (
-          match Ssp.solve ?deadline p with
-          | Ok s -> (
-            match
-              certify ~faulty eng ~flow:s.Ssp.flow ~potentials:s.Ssp.potentials
-            with
-            | Ok pi -> Ok pi
-            | Error e -> Error (e, false))
-          | Error e -> Error (e, false))
-        | Closure -> Error ("Difflp.solve_flow: closure is not a flow engine", true)
-    in
-    let primary, secondary =
-      if use_simplex then (Network_simplex, Ssp) else (Ssp, Network_simplex)
-    in
-    match attempt ~faulty:true primary with
-    | Ok pi -> Ok (from_potentials pi)
-    | Error (reason, true) ->
-      Error (Printf.sprintf "%s: %s" (engine_name primary) reason)
-    | Error (reason, false) -> (
-      match attempt ~faulty:false secondary with
-      | Ok pi ->
-        Rar_obs.Metrics.incr m_fallbacks;
-        (match on_fallback with
-        | Some f -> f { failed = primary; retried = secondary; reason }
-        | None -> ());
-        Ok (from_potentials pi)
-      | Error (e2, _) ->
-        Error
-          (Printf.sprintf "%s: %s; %s fallback: %s" (engine_name primary)
-             reason (engine_name secondary) e2))
-  end
-
-let solve_closure t ~reference =
-  (* Translate assuming every feasible normalised solution is in
-     {-1, 0}; selection means r = -1. *)
+(* The closure instance of a binary LP (DESIGN.md §5), assuming every
+   feasible normalised solution is in {-1, 0}; selection means
+   r = -1. Errors on a constraint outside the binary window. *)
+let closure_instance t ~reference =
   let implications = ref [] in
   let must_select = ref [] in
   let must_reject = ref [ reference ] in
@@ -197,9 +108,9 @@ let solve_closure t ~reference =
                c.u c.v c.bound))
     t.cons;
   match !infeasible with
-  | Some msg -> Error ("Difflp.solve (closure): " ^ msg)
-  | None -> (
-    let inst =
+  | Some msg -> Error msg
+  | None ->
+    Ok
       {
         Closure.n = t.n;
         profit = Array.copy t.coeff;
@@ -207,11 +118,123 @@ let solve_closure t ~reference =
         must_select = !must_select;
         must_reject = !must_reject;
       }
+
+(* How a failed attempt is reported when it ends the chain. *)
+let failure_message eng reason =
+  match eng with
+  | Closure -> "Difflp.solve (closure): " ^ reason
+  | Network_simplex | Ssp -> Printf.sprintf "%s: %s" (engine_name eng) reason
+
+let solve_chain ?deadline ?on_fallback ?(verify = true) t ~reference ~engine =
+  if engine <> Closure && not (balanced t) then
+    Error "Difflp.solve: objective coefficients do not sum to zero"
+  else begin
+    let p = lazy (to_problem t) in
+    let key = fault_key t in
+    let from_potentials pi = normalise reference (Array.map (fun x -> -x) pi) in
+    (* Gate every accepted solution on the LP-duality certificate; a
+       solver bug (or an injected [badcert] fault) is caught here and
+       routed to the alternate engine instead of reaching the caller. *)
+    let certify ~faulty eng ~flow ~potentials =
+      if not verify then Ok potentials
+      else begin
+        let report = Certificate.check (Lazy.force p) ~flow ~potentials in
+        let ok = Certificate.is_optimal report in
+        let ok =
+          if faulty && Faults.flip_certificate ~key then not ok else ok
+        in
+        if ok then Ok potentials
+        else
+          Error
+            (Format.asprintf
+               "%s solution failed the optimality certificate (%a)"
+               (engine_name eng) Certificate.pp report)
+      end
     in
-    match Closure.solve inst with
-    | Error e -> Error ("Difflp.solve (closure): " ^ e)
-    | Ok o ->
-      Ok (Array.init t.n (fun v -> if o.Closure.selected.(v) then -1 else 0)))
+    (* Faults only ever perturb the primary attempt ([faulty] = true);
+       the fallback runs clean, so a faulted run still converges. A
+       failed attempt also reports whether the verdict is definitive —
+       a typed statement about the instance itself (unbalanced,
+       infeasible, negative cycle, contradictory or non-binary closure)
+       that no other engine could overturn — so infeasible LPs stop
+       paying a doomed fallback solve. Retryable failures (pivot cap,
+       certificate rejection, injected faults) keep the engine-swap
+       behaviour. Closure's own certificate (max-flow = min-cut) runs
+       inside [Closure.solve], and its selection must also satisfy every
+       constraint; [badcert] flips an accepted verdict. *)
+    let attempt ~faulty eng =
+      match eng with
+      | Closure -> (
+        Rar_obs.Trace.span "solver/closure" @@ fun () ->
+        match closure_instance t ~reference with
+        | Error msg -> Error (msg, true)
+        | Ok inst -> (
+          match Closure.solve ?deadline inst with
+          | Error Closure.Contradictory ->
+            Error (Closure.error_to_string Closure.Contradictory, true)
+          | Error e -> Error (Closure.error_to_string e, false)
+          | Ok o -> (
+            let r =
+              Array.init t.n (fun v -> if o.Closure.selected.(v) then -1 else 0)
+            in
+            if verify && faulty && Faults.flip_certificate ~key then
+              Error ("closure solution failed the min-cut certificate", false)
+            else
+              match check t r with
+              | Ok () -> Ok r
+              | Error msg -> Error ("closure solution infeasible: " ^ msg, false))))
+      | Network_simplex | Ssp when faulty && Faults.solver_timeout ~key ->
+        Error (Printf.sprintf "%s: injected timeout" (engine_name eng), false)
+      | Network_simplex -> (
+        match Netsimplex.solve ?deadline (Lazy.force p) with
+        | Ok s -> (
+          match
+            certify ~faulty eng ~flow:s.Netsimplex.flow
+              ~potentials:s.Netsimplex.potentials
+          with
+          | Ok pi -> Ok (from_potentials pi)
+          | Error e -> Error (e, false))
+        | Error err ->
+          let definitive =
+            match err with
+            | Netsimplex.Unbalanced | Netsimplex.Infeasible
+            | Netsimplex.Unbounded ->
+              true
+            | Netsimplex.Pivot_limit _ -> false
+          in
+          Error (Netsimplex.error_to_string err, definitive))
+      | Ssp -> (
+        match Ssp.solve ?deadline (Lazy.force p) with
+        | Ok s -> (
+          match
+            certify ~faulty eng ~flow:s.Ssp.flow ~potentials:s.Ssp.potentials
+          with
+          | Ok pi -> Ok (from_potentials pi)
+          | Error e -> Error (e, false))
+        | Error e -> Error (e, false))
+    in
+    (* Closure falls back to the certified default, network simplex. *)
+    let secondary =
+      match engine with
+      | Network_simplex -> Ssp
+      | Ssp | Closure -> Network_simplex
+    in
+    match attempt ~faulty:true engine with
+    | Ok r -> Ok r
+    | Error (reason, true) -> Error (failure_message engine reason)
+    | Error (reason, false) -> (
+      match attempt ~faulty:false secondary with
+      | Ok r ->
+        Rar_obs.Metrics.incr m_fallbacks;
+        (match on_fallback with
+        | Some f -> f { failed = engine; retried = secondary; reason }
+        | None -> ());
+        Ok r
+      | Error (e2, _) ->
+        Error
+          (Printf.sprintf "%s: %s; %s fallback: %s" (engine_name engine)
+             reason (engine_name secondary) e2))
+  end
 
 (* Session-scoped solve cache for ECO delta solves. Keyed by the full
    structural signature of the instance (variables, every constraint in
@@ -267,16 +290,7 @@ let solve ?deadline ?on_fallback ?verify ?(engine = Network_simplex) ?cache t
     Ok r
   | None -> (
     let result =
-      match engine with
-      | Network_simplex ->
-        solve_flow ?deadline ?on_fallback ?verify t ~reference
-          ~use_simplex:true
-      | Ssp ->
-        solve_flow ?deadline ?on_fallback ?verify t ~reference
-          ~use_simplex:false
-      | Closure ->
-        Rar_obs.Trace.span "solver/closure" (fun () ->
-            solve_closure t ~reference)
+      solve_chain ?deadline ?on_fallback ?verify t ~reference ~engine
     in
     match result with
     | Error _ as e -> e

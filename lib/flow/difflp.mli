@@ -67,9 +67,16 @@ val solve :
     [~verify:false]; on solver error or certificate failure the
     alternate flow engine ([Network_simplex] <-> [Ssp]) is retried
     before an error is reported, and a successful retry is announced
-    via [?on_fallback]. [?deadline] is threaded into both solvers and
-    expiry raises [Rar_util.Deadline.Expired] (it is {e not} caught by
-    the fallback chain — a budget overrun aborts the whole solve).
+    via [?on_fallback]. A [Closure] solution carries its own
+    certificate (max-flow value = capacity of the reported cut, sink
+    unreachable; see {!Closure.solve}) and must satisfy every
+    constraint; when either check fails, the LP is re-solved by
+    certified [Network_simplex] through the same path.
+    A non-binary constraint or contradictory forced selections are
+    final [Closure] errors. [?deadline] is threaded into every solver
+    and expiry raises [Rar_util.Deadline.Expired] (it is {e not}
+    caught by the fallback chain — a budget overrun aborts the whole
+    solve).
 
     With [?cache], an instance identical to a previously solved one
     returns the stored solution without running a solver (no pivots, no

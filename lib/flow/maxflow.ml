@@ -2,7 +2,9 @@ module Vec = Rar_util.Vec
 
 let eps = 1e-9
 
-type edge = { dst : int; mutable cap : float; inv : int }
+(* [cap] is the residual capacity; [cap0] the capacity the edge was
+   added with (0 on reverse edges), kept for the cut certificate. *)
+type edge = { dst : int; mutable cap : float; inv : int; cap0 : float }
 
 type t = {
   n : int;
@@ -16,14 +18,19 @@ let create ~n = { n; edges = Vec.create (); head = Array.make n []; ran = false 
 let add_edge t ~src ~dst ~cap =
   if cap < 0. then invalid_arg "Maxflow.add_edge: negative capacity";
   let i = Vec.length t.edges in
-  Vec.add_last t.edges { dst; cap; inv = i + 1 };
-  Vec.add_last t.edges { dst = src; cap = 0.; inv = i };
+  Vec.add_last t.edges { dst; cap; inv = i + 1; cap0 = cap };
+  Vec.add_last t.edges { dst = src; cap = 0.; inv = i; cap0 = 0. };
   t.head.(src) <- i :: t.head.(src);
   t.head.(dst) <- (i + 1) :: t.head.(dst)
 
-let run t ~source ~sink =
+let run ?deadline t ~source ~sink =
   if t.ran then invalid_arg "Maxflow.run: already ran";
   t.ran <- true;
+  let tick () =
+    match deadline with
+    | None -> ()
+    | Some d -> Rar_util.Deadline.check d ~phase:"maxflow"
+  in
   let head = Array.map Array.of_list t.head in
   let edges = Vec.to_array t.edges in
   let level = Array.make t.n (-1) in
@@ -34,6 +41,7 @@ let run t ~source ~sink =
     let q = Queue.create () in
     Queue.add source q;
     while not (Queue.is_empty q) do
+      tick ();
       let u = Queue.pop q in
       Array.iter
         (fun ei ->
@@ -51,6 +59,7 @@ let run t ~source ~sink =
     else begin
       let result = ref 0. in
       while !result = 0. && iter.(u) < Array.length head.(u) do
+        tick ();
         let ei = head.(u).(iter.(u)) in
         let e = edges.(ei) in
         if e.cap > eps && level.(e.dst) = level.(u) + 1 then begin
@@ -98,3 +107,16 @@ let min_cut_source_side t ~source =
         t.head.(u)
   done;
   seen
+
+let cut_capacity t side =
+  let total = ref 0. in
+  Array.iteri
+    (fun u ids ->
+      if side.(u) then
+        List.iter
+          (fun ei ->
+            let e = Vec.get t.edges ei in
+            if not side.(e.dst) then total := !total +. e.cap0)
+          ids)
+    t.head;
+  !total

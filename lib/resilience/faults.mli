@@ -10,7 +10,8 @@
 
     Profiles: [timeout] (every primary {!Rar_flow.Difflp} flow solve
     reports an injected timeout), [badcert] (the primary solve's
-    certificate verdict is flipped), [poolkill] (every
+    certificate verdict is flipped: a flow engine's duality check, or
+    an accepted closure min-cut check), [poolkill] (every
     [Rar_util.Pool.map] element raises {!Injected}), [truncate]
     (parser input is cut at a seed-determined offset), [chaos]
     (timeout and badcert each fire on ~1/4 of the solve keys, chosen

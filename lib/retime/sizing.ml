@@ -21,20 +21,22 @@ let violating ~deadlines stage placements =
   |> List.filter (fun s -> Liberty.arc_max arr.(s) > deadlines s +. eps)
 
 (* Rank the gates of a violating sink's cone by criticality
-   (D^f + D^b), and return those not yet at the maximum drive. *)
+   (D^f + D^b), and return those not yet at the maximum drive. Walks
+   the cone only, in ascending id order. *)
 let upsize_candidates stage sink =
   let net = Stage.comb stage in
   let sta = Stage.sta stage in
-  let db = Sta.backward_scalar sta ~sink in
+  let c = Sta.backward_cone sta ~sink in
   let max_drive =
     List.fold_left max 1 (Liberty.drives (Stage.lib stage))
   in
   let cands = ref [] in
-  for v = 0 to Netlist.node_count net - 1 do
+  for i = 0 to c.Sta.size - 1 do
+    let v = c.Sta.asc.(i) in
     match Netlist.kind net v with
     | Netlist.Gate { drive; _ } when drive < max_drive ->
-      if db.(v) > neg_infinity then
-        cands := (Sta.df sta v +. db.(v), v) :: !cands
+      let db = Float.max c.Sta.rise.(v) c.Sta.fall.(v) in
+      cands := (Sta.df sta v +. db, v) :: !cands
     | Netlist.Gate _ | Netlist.Input | Netlist.Output | Netlist.Seq _ -> ()
   done;
   List.sort (fun (a, _) (b, _) -> compare b a) !cands |> List.map snd

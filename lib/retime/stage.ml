@@ -25,6 +25,7 @@ type classified = {
   ill : (int * int) list;      (* per-edge Constraint (7) violations *)
   win : (int * int) list;      (* window edges (Target sinks only) *)
   empty_cut : bool;            (* Always_ed via an empty g(t): warn *)
+  n_cone : int;                (* |cone|, for the effort counter *)
 }
 
 type t = {
@@ -165,135 +166,150 @@ let compute_regions ~sta_an ~lib ~clocking net =
 (* Classification of one sink (paper §IV-A). While scanning every
    latch position in the cone we also record the positions that violate
    the max-delay bound for this sink (the per-edge form of Constraint
-   7). Pure: reads only the shared read-only [sta_an] (whose
-   [backward_all] cache {!make} forces before fan-out), so sinks
-   classify in parallel. All loops walk the sink's fan-in cone, not
-   the whole netlist: [cone_asc] replicates the previous ascending
-   [for v = 0 to n-1 ... if in_cone v] iteration exactly. *)
-let classify_sink ~sta_an ~clocking ~latch net s =
+   7). Reads only the shared read-only [sta_an] (whose [backward_all]
+   cache {!make} forces before fan-out) and this domain's cone scratch,
+   so sinks classify in parallel. Every loop walks the sink's fan-in
+   cone, never the whole netlist, and reads A(u,v) from the scratch's
+   pin-indexed [slave] array: a sink costs O(|cone|) time, and
+   allocates only its result lists. Iterating [asc] (ascending ids)
+   fixes the order of the illegal, window and cut lists. [can_launch u]
+   is the slave's own setup against the closing edge (Constraint 6 at
+   u), precomputed per node by the caller. *)
+let classify_sink ~sta_an ~clocking ~latch ~can_launch net s =
   let period = Clocking.period clocking in
   let limit = Clocking.max_delay clocking in
   let cv = Netlist.compact net in
-  let cone, db = Sta.backward_cone sta_an ~sink:s in
-  let dbr = db.Sta.rise and dbf = db.Sta.fall in
-  let in_cone v = dbr.(v) > neg_infinity || dbf.(v) > neg_infinity in
-  let cone_asc = Array.copy cone in
-  Array.sort (fun (a : int) b -> compare a b) cone_asc;
-  (* Longest pure combinational path into s, polarity-paired. *)
-  let max_path = ref neg_infinity in
-  Array.iter
-    (fun v ->
-      let thru_rise = Sta.arrival_rise sta_an v +. dbr.(v) in
-      let thru_fall = Sta.arrival_fall sta_an v +. dbf.(v) in
-      if thru_rise > !max_path then max_path := thru_rise;
-      if thru_fall > !max_path then max_path := thru_fall)
-    cone_asc;
-  let a_of ~u ~v =
-    Sta.arrival_with_slave_after sta_an ~clocking ~latch ~u ~v ~db
+  let c = Sta.backward_cone sta_an ~sink:s in
+  Sta.slave_arrivals sta_an ~clocking ~latch c;
+  let max_path = Sta.cone_max_path sta_an c in
+  let e = c.Sta.epoch and k = c.Sta.size in
+  let stamp = c.Sta.stamp and asc = c.Sta.asc and nodes = c.Sta.nodes in
+  let slave = c.Sta.slave and good = c.Sta.good and bad = c.Sta.bad in
+  (* First pin of [w] driven by [u]: A and the good stamp are pair
+     values, equal on every such pin. *)
+  let pin_from u w =
+    let p = ref (Netlist.Compact.fanin_lo cv w) in
+    while Netlist.Compact.fanin cv !p <> u do
+      incr p
+    done;
+    !p
   in
-  (* A position (u,v) is legal when the slave's own setup against the
-     closing edge holds (Constraint 6 at u) and the capture meets max
-     delay (per-edge Constraint 7); it is *good* when additionally the
-     capture stays out of the resiliency window. *)
-  let close_limit = Clocking.slave_close clocking -. latch.Liberty.setup in
-  let can_launch u = Sta.df sta_an u <= close_limit +. eps in
-  (* One pass over every cone position: record per-edge (7) violations,
-     the window edges, the worst legal A, and the good-edge predicate
-     for the path DP below. Edges are keyed as [u * n + v] in an int
-     table — the cone loops walk the compact CSR view, allocating
-     nothing per position. *)
-  let n_nodes = Netlist.node_count net in
+  (* A position (u,v) is legal when the slave can launch from u and the
+     capture meets max delay (per-edge Constraint 7); it is *good* when
+     additionally the capture stays out of the resiliency window. One
+     pass over every cone position records per-edge (7) violations, the
+     window edges, the worst legal A, and stamps the good positions for
+     the path DP below. *)
   let a_max_legal = ref neg_infinity in
-  let good = Hashtbl.create 64 in
-  let good_edge u v = Hashtbl.mem good ((u * n_nodes) + v) in
   let illegal = ref [] in
   let window = ref [] in
-  Array.iter
-    (fun v ->
-      let tg = Netlist.Compact.tag cv v in
-      if tg <> Netlist.Compact.tag_input then begin
-        assert (tg <> Netlist.Compact.tag_seq);
-        let hi = Netlist.Compact.fanin_hi cv v in
-        for p = Netlist.Compact.fanin_lo cv v to hi - 1 do
-          let u = Netlist.Compact.fanin cv p in
-          let a = a_of ~u ~v in
-          if a > limit +. eps then illegal := (u, v) :: !illegal
-          else if a > period +. eps then window := (u, v) :: !window;
-          if can_launch u && a <= limit +. eps then begin
-            if a > !a_max_legal then a_max_legal := a;
-            if a <= period +. eps then
-              Hashtbl.replace good ((u * n_nodes) + v) ()
-          end
-        done
-      end)
-    cone_asc;
-  let ill = List.rev !illegal in
-  (* Path DP: [bad v] = some source-to-v path passed no good position.
-     The sink can be made non-error-detecting iff no bad path reaches
-     it. [cone] reversed is a forward topological order of the cone. *)
-  let bad = Array.make n_nodes false in
-  for i = Array.length cone - 1 downto 0 do
-    let v = cone.(i) in
+  for i = 0 to k - 1 do
+    let v = asc.(i) in
     let tg = Netlist.Compact.tag cv v in
-    if tg = Netlist.Compact.tag_input then bad.(v) <- true
-    else begin
+    if tg <> Netlist.Compact.tag_input then begin
       assert (tg <> Netlist.Compact.tag_seq);
-      let b = ref false in
       let hi = Netlist.Compact.fanin_hi cv v in
       for p = Netlist.Compact.fanin_lo cv v to hi - 1 do
         let u = Netlist.Compact.fanin cv p in
-        if in_cone u && bad.(u) && not (good_edge u v) then b := true
-      done;
-      if !b then bad.(v) <- true
+        let a = slave.(p) in
+        if a > limit +. eps then illegal := (u, v) :: !illegal
+        else if a > period +. eps then window := (u, v) :: !window;
+        if can_launch.(u) && a <= limit +. eps then begin
+          if a > !a_max_legal then a_max_legal := a;
+          if a <= period +. eps then good.(p) <- e
+        end
+      done
     end
   done;
-  if bad.(s) then
-    { cls = Always_ed; mp = !max_path; ill; win = []; empty_cut = false }
+  let ill = List.rev !illegal in
+  (* Path DP: [bad v] = some source-to-v path passed no good position.
+     The sink can be made non-error-detecting iff no bad path reaches
+     it. [nodes] reversed is a forward topological order of the cone. *)
+  for i = k - 1 downto 0 do
+    let v = nodes.(i) in
+    let tg = Netlist.Compact.tag cv v in
+    if tg = Netlist.Compact.tag_input then bad.(v) <- e
+    else begin
+      assert (tg <> Netlist.Compact.tag_seq);
+      let hi = Netlist.Compact.fanin_hi cv v in
+      let p = ref (Netlist.Compact.fanin_lo cv v) in
+      while !p < hi do
+        let u = Netlist.Compact.fanin cv !p in
+        if stamp.(u) = e && bad.(u) = e && good.(!p) <> e then begin
+          bad.(v) <- e;
+          p := hi
+        end
+        else incr p
+      done
+    end
+  done;
+  let n_cone = k in
+  if bad.(s) = e then
+    { cls = Always_ed; mp = max_path; ill; win = []; empty_cut = false;
+      n_cone }
   else if !a_max_legal <= period +. eps then
-    { cls = Never_ed; mp = !max_path; ill; win = []; empty_cut = false }
+    { cls = Never_ed; mp = max_path; ill; win = []; empty_cut = false;
+      n_cone }
   else begin
     (* g(t) per Eq. 8-9, over legal positions. Condition (9) for a
        source uses the host-edge position (its worst fanout edge). *)
     let cut = ref [] in
-    Array.iter
-      (fun v ->
-        let tg = Netlist.Compact.tag cv v in
-        let can_hold_latch =
-          tg = Netlist.Compact.tag_input || tg = Netlist.Compact.tag_gate
-        in
-        if can_hold_latch then begin
-          let ok_after = ref false in
-          let fo_hi = Netlist.Compact.fanout_hi cv v in
-          for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
-            let n_ = Netlist.Compact.fanout cv p in
-            if in_cone n_ && good_edge v n_ then ok_after := true
-          done;
-          if !ok_after then begin
-            let bad_before = ref false in
-            if tg = Netlist.Compact.tag_input then
-              for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
-                let n_ = Netlist.Compact.fanout cv p in
-                if in_cone n_ && a_of ~u:v ~v:n_ > period +. eps then
-                  bad_before := true
-              done
-            else begin
-              let fi_hi = Netlist.Compact.fanin_hi cv v in
-              for p = Netlist.Compact.fanin_lo cv v to fi_hi - 1 do
-                let k = Netlist.Compact.fanin cv p in
-                if (not !bad_before) && a_of ~u:k ~v > period +. eps then
-                  bad_before := true
-              done
-            end;
-            if !bad_before then cut := v :: !cut
-          end
-        end)
-      cone_asc;
+    for i = 0 to k - 1 do
+      let v = asc.(i) in
+      let tg = Netlist.Compact.tag cv v in
+      if tg = Netlist.Compact.tag_input || tg = Netlist.Compact.tag_gate then begin
+        let ok_after = ref false in
+        let fo_hi = Netlist.Compact.fanout_hi cv v in
+        for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
+          let w = Netlist.Compact.fanout cv p in
+          if stamp.(w) = e && good.(pin_from v w) = e then ok_after := true
+        done;
+        if !ok_after then begin
+          let bad_before = ref false in
+          if tg = Netlist.Compact.tag_input then
+            for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
+              let w = Netlist.Compact.fanout cv p in
+              if stamp.(w) = e && slave.(pin_from v w) > period +. eps then
+                bad_before := true
+            done
+          else begin
+            let fi_hi = Netlist.Compact.fanin_hi cv v in
+            for p = Netlist.Compact.fanin_lo cv v to fi_hi - 1 do
+              if slave.(p) > period +. eps then bad_before := true
+            done
+          end;
+          if !bad_before then cut := v :: !cut
+        end
+      end
+    done;
     if !cut = [] then
-      { cls = Always_ed; mp = !max_path; ill; win = !window; empty_cut = true }
+      { cls = Always_ed; mp = max_path; ill; win = !window; empty_cut = true;
+        n_cone }
     else
-      { cls = Target { cut = List.rev !cut }; mp = !max_path; ill;
-        win = !window; empty_cut = false }
+      { cls = Target { cut = List.rev !cut }; mp = max_path; ill;
+        win = !window; empty_cut = false; n_cone }
   end
+
+(* [Sta.df u <= slave close - setup], per node: whether a slave placed
+   after [u] meets its own setup (Constraint 6). Sink-independent, so
+   computed once per {!make} / {!patch}. *)
+let launch_ok ~sta_an ~clocking ~latch net =
+  let close_limit = Clocking.slave_close clocking -. latch.Liberty.setup in
+  Array.init (Netlist.node_count net) (fun u ->
+      Sta.df sta_an u <= close_limit +. eps)
+
+(* Σ|cone| over the sinks classified by one {!make} or {!patch}. *)
+let m_cone_nodes = Rar_obs.Metrics.counter "stage_cone_nodes"
+
+let classify_all ~sta_an ~clocking ~latch net sinks =
+  let can_launch = launch_ok ~sta_an ~clocking ~latch net in
+  let classified =
+    Rar_util.Pool.map_adaptive sinks (fun s ->
+        (s, classify_sink ~sta_an ~clocking ~latch ~can_launch net s))
+  in
+  Rar_obs.Metrics.add m_cone_nodes
+    (Array.fold_left (fun acc (_, r) -> acc + r.n_cone) 0 classified);
+  classified
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
    merge per-sink classification results sequentially in sink order
@@ -380,8 +396,7 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
        mid-size designs fan out instead of tripping the pool's
        task-ratio fallback the old fixed 256-sink grain hit. *)
     let classified =
-      Rar_util.Pool.map_adaptive (Netlist.outputs net) (fun s ->
-          (s, classify_sink ~sta_an ~clocking ~latch net s))
+      classify_all ~sta_an ~clocking ~latch net (Netlist.outputs net)
     in
     finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
       ~classified
@@ -425,10 +440,7 @@ let patch t (applied : Transform.Edit.applied) =
            t.per_sink [])
     in
     ignore (Sta.backward_all sta_an : float array);
-    let reclassified =
-      Rar_util.Pool.map_adaptive affected (fun s ->
-          (s, classify_sink ~sta_an ~clocking ~latch net s))
-    in
+    let reclassified = classify_all ~sta_an ~clocking ~latch net affected in
     let fresh = Hashtbl.create (Array.length reclassified * 2) in
     Array.iter (fun (s, r) -> Hashtbl.replace fresh s r) reclassified;
     let classified =

@@ -240,8 +240,6 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
     changed )
 
 let arrival_arc t v = Liberty.{ rise = t.arr_rise.(v); fall = t.arr_fall.(v) }
-let arrival_rise t v = t.arr_rise.(v)
-let arrival_fall t v = t.arr_fall.(v)
 let df t v = Float.max t.arr_rise.(v) t.arr_fall.(v)
 let arrival_at_sink t v = df t v
 
@@ -315,59 +313,197 @@ let backward t ~sink =
       if rise.(v) = neg_infinity && fall.(v) = neg_infinity then neg_inf_arc
       else Liberty.{ rise = rise.(v); fall = fall.(v) })
 
+(* ------------------------------------------------------------------ *)
+(* Per-sink cone walker                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Walker-private buffers: the DFS stack (whose node half doubles as
+   the radix sort's second buffer) and the radix digit layout. *)
+type walk = {
+  stack_node : int array;
+  stack_pin : int array;
+  digit_bits : int;
+  passes : int;
+  count : int array;
+}
+
+type cone = {
+  mutable epoch : int;
+  mutable size : int;
+  stamp : int array;
+  nodes : int array;
+  asc : int array;
+  rise : float array;
+  fall : float array;
+  slave : float array;
+  bad : int array;
+  good : int array;
+  walk : walk;
+}
+
+(* Stamps start at 0 and the first walk bumps the epoch to 1, so no
+   node, [bad] or [good] entry of a fresh scratch reads as current. *)
+let cone_create cv =
+  let n = Compact.n cv in
+  let pins = Int.max 1 (Compact.fanin_lo cv n) in
+  (* Radix digits for sorting node ids < n: at most 11 bits a pass. *)
+  let id_bits =
+    let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+    Int.max 1 (go 0)
+  in
+  let passes = (id_bits + 10) / 11 in
+  let digit_bits = (id_bits + passes - 1) / passes in
+  {
+    epoch = 0;
+    size = 0;
+    stamp = Array.make n 0;
+    nodes = Array.make n 0;
+    asc = Array.make n 0;
+    rise = Array.make n neg_infinity;
+    fall = Array.make n neg_infinity;
+    slave = Array.make pins neg_infinity;
+    bad = Array.make n 0;
+    good = Array.make pins 0;
+    walk =
+      {
+        stack_node = Array.make n 0;
+        stack_pin = Array.make n 0;
+        digit_bits;
+        passes;
+        count = Array.make (1 lsl digit_bits) 0;
+      };
+  }
+
+(* One scratch per domain, keyed on the compact view by physical
+   identity: two netlists with equal node counts can still differ in
+   pin count and wiring. The ephemeron lets a netlist that is no longer
+   used be collected together with its scratch. *)
+let cone_key : (Compact.t, cone) Ephemeron.K1.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let cone_scratch cv =
+  let cached =
+    match Domain.DLS.get cone_key with
+    | Some e -> Ephemeron.K1.query e cv
+    | None -> None
+  in
+  match cached with
+  | Some c -> c
+  | None ->
+    let c = cone_create cv in
+    Domain.DLS.set cone_key (Some (Ephemeron.K1.make cv c));
+    c
+
+(* LSD radix sort of the node ids in [c.asc.(0 .. len-1)], with the
+   DFS stack (free once the walk is done) as the second buffer:
+   O(passes * (len + 2^digit_bits)) and allocation-free. *)
+let sort_asc c len =
+  let w = c.walk in
+  let mask = (1 lsl w.digit_bits) - 1 in
+  let count = w.count in
+  let src = ref c.asc and dst = ref w.stack_node in
+  for pass = 0 to w.passes - 1 do
+    let shift = pass * w.digit_bits in
+    let s = !src and d = !dst in
+    Array.fill count 0 (mask + 1) 0;
+    for i = 0 to len - 1 do
+      let b = (s.(i) lsr shift) land mask in
+      count.(b) <- count.(b) + 1
+    done;
+    let sum = ref 0 in
+    for b = 0 to mask do
+      let k = count.(b) in
+      count.(b) <- !sum;
+      sum := !sum + k
+    done;
+    for i = 0 to len - 1 do
+      let x = s.(i) in
+      let b = (x lsr shift) land mask in
+      d.(count.(b)) <- x;
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s
+  done;
+  if !src != c.asc then Array.blit !src 0 c.asc 0 len
+
 let backward_cone t ~sink =
   check_sink "Sta.backward_cone" t sink;
   let cv = t.cv in
-  let n = Compact.n cv in
-  (* Iterative DFS from the sink along fanin edges; the reverse
-     postorder puts every cone node before its fanins (sink first),
-     exactly the processing order the backward DP needs, so the DP
-     touches only the |cone| nodes instead of scanning all n. *)
-  let seen = Array.make n false in
-  seen.(sink) <- true;
-  let post = ref [] in
-  let n_cone = ref 0 in
-  let stack = ref [ (sink, ref 0) ] in
-  (let continue_ = ref true in
-   while !continue_ do
-     match !stack with
-     | [] -> continue_ := false
-     | (v, next_pin) :: rest ->
-       let lo = Compact.fanin_lo cv v in
-       let deg = Compact.fanin_hi cv v - lo in
-       if !next_pin < deg then begin
-         let u = Compact.fanin cv (lo + !next_pin) in
-         incr next_pin;
-         if not seen.(u) then begin
-           seen.(u) <- true;
-           stack := (u, ref 0) :: !stack
-         end
-       end
-       else begin
-         post := v :: !post;
-         incr n_cone;
-         stack := rest
-       end
-   done);
-  let cone = Array.make !n_cone sink in
-  List.iteri (fun i v -> cone.(i) <- v) !post;
-  let dbr = Array.make n neg_infinity in
-  let dbf = Array.make n neg_infinity in
-  dbr.(sink) <- 0.;
-  dbf.(sink) <- 0.;
-  Array.iter (fun w -> relax_back t dbr dbf w) cone;
-  (cone, { rise = dbr; fall = dbf })
+  let c = cone_scratch cv in
+  let e = c.epoch + 1 in
+  c.epoch <- e;
+  c.size <- 0;
+  let stamp = c.stamp and nodes = c.nodes in
+  let stack_node = c.walk.stack_node and stack_pin = c.walk.stack_pin in
+  (* Iterative DFS from the sink along fanin edges (each stack entry
+     holds its next flat pin position); the reverse postorder puts
+     every cone node before its fanins (sink first), exactly the
+     processing order the backward DP needs. *)
+  stamp.(sink) <- e;
+  stack_node.(0) <- sink;
+  stack_pin.(0) <- Compact.fanin_lo cv sink;
+  let top = ref 0 and k = ref 0 in
+  while !top >= 0 do
+    let v = stack_node.(!top) in
+    let p = stack_pin.(!top) in
+    if p < Compact.fanin_hi cv v then begin
+      stack_pin.(!top) <- p + 1;
+      let u = Compact.fanin cv p in
+      if stamp.(u) <> e then begin
+        stamp.(u) <- e;
+        incr top;
+        stack_node.(!top) <- u;
+        stack_pin.(!top) <- Compact.fanin_lo cv u
+      end
+    end
+    else begin
+      nodes.(!k) <- v;
+      incr k;
+      decr top
+    end
+  done;
+  let k = !k in
+  for i = 0 to (k / 2) - 1 do
+    let x = nodes.(i) in
+    nodes.(i) <- nodes.(k - 1 - i);
+    nodes.(k - 1 - i) <- x
+  done;
+  (* Every walk resets its own cone before the DP, so values a raising
+     caller left behind are never read. *)
+  let rise = c.rise and fall = c.fall in
+  for i = 0 to k - 1 do
+    let v = nodes.(i) in
+    rise.(v) <- neg_infinity;
+    fall.(v) <- neg_infinity
+  done;
+  rise.(sink) <- 0.;
+  fall.(sink) <- 0.;
+  for i = 0 to k - 1 do
+    relax_back t rise fall nodes.(i)
+  done;
+  Array.blit nodes 0 c.asc 0 k;
+  sort_asc c k;
+  c.size <- k;
+  c
 
-let backward_scalar t ~sink =
-  let { rise; fall } = backward_packed t ~sink in
-  Array.init (Array.length rise) (fun v -> Float.max rise.(v) fall.(v))
+let cone_max_path t c =
+  let best = ref neg_infinity in
+  for i = 0 to c.size - 1 do
+    let v = c.asc.(i) in
+    let thru_rise = t.arr_rise.(v) +. c.rise.(v) in
+    let thru_fall = t.arr_fall.(v) +. c.fall.(v) in
+    if thru_rise > !best then best := thru_rise;
+    if thru_fall > !best then best := thru_fall
+  done;
+  !best
 
 let backward_all t =
   match t.back_all_cache with
   | Some r -> r
   | None ->
     Rar_obs.Trace.span "sta/backward_all" @@ fun () ->
-    let { rise; fall } =
+    let ({ rise; fall } : db) =
       backward_from t (fun dbr dbf ->
           Array.iter
             (fun s ->
@@ -434,13 +570,61 @@ let latch_out t ~clocking ~latch u =
     fall = Float.max open_t (t.arr_fall.(u) +. d_to_q);
   }
 
-let arrival_with_slave_after t ~clocking ~latch ~u ~v ~db =
+let arrival_with_slave_after t ~clocking ~latch ~u ~v ~(db : db) =
   let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
   let d_to_q = latch.Liberty.d_to_q in
   let lo_r = Float.max open_t (t.arr_rise.(u) +. d_to_q) in
   let lo_f = Float.max open_t (t.arr_fall.(u) +. d_to_q) in
   let out_r, out_f = through_rf t ~driver:u ~via:v lo_r lo_f in
   Float.max (out_r +. db.rise.(v)) (out_f +. db.fall.(v))
+
+let slave_arrivals t ~clocking ~latch c =
+  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
+  let d_to_q = latch.Liberty.d_to_q in
+  let cv = t.cv in
+  let slave = c.slave in
+  for i = 0 to c.size - 1 do
+    let v = c.nodes.(i) in
+    let tg = Compact.tag cv v in
+    if tg <> Compact.tag_input then begin
+      let lo = Compact.fanin_lo cv v and hi = Compact.fanin_hi cv v in
+      let db_r = c.rise.(v) and db_f = c.fall.(v) in
+      for p = lo to hi - 1 do
+        let u = Compact.fanin cv p in
+        let t_r = t.arr_rise.(u) +. d_to_q and t_f = t.arr_fall.(u) +. d_to_q in
+        let in_r = if t_r > open_t then t_r else open_t in
+        let in_f = if t_f > open_t then t_f else open_t in
+        let out_r, out_f =
+          if tg = Compact.tag_output then (in_r, in_f)
+          else begin
+            let code = t.unate.(p) in
+            if code = un_pos then (in_r +. t.pa_rise.(p), in_f +. t.pa_fall.(p))
+            else if code = un_neg then
+              (in_f +. t.pa_rise.(p), in_r +. t.pa_fall.(p))
+            else begin
+              let worst = if in_r > in_f then in_r else in_f in
+              if code = un_non then
+                (worst +. t.pa_rise.(p), worst +. t.pa_fall.(p))
+              else (worst +. t.pa_rise.(p), worst +. t.pa_rise.(p))
+            end
+          end
+        in
+        let a_r = out_r +. db_r and a_f = out_f +. db_f in
+        slave.(p) <- (if a_r > a_f then a_r else a_f)
+      done;
+      (* Pair semantics: pins sharing a driver all take the pair's max
+         (rounding is monotone, so max-then-add equals add-then-max). *)
+      for p = lo + 1 to hi - 1 do
+        for q = lo to p - 1 do
+          if Compact.fanin cv q = Compact.fanin cv p then begin
+            let m = if slave.(p) > slave.(q) then slave.(p) else slave.(q) in
+            slave.(p) <- m;
+            slave.(q) <- m
+          end
+        done
+      done
+    end
+  done
 
 let forward_with_latches t ~clocking ~latch ~latched =
   let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in

@@ -70,11 +70,6 @@ val launch : t -> float
 val arrival_arc : t -> int -> Liberty.arc
 (** Arrival at node output: [rise] = latest output-rising transition. *)
 
-val arrival_rise : t -> int -> float
-val arrival_fall : t -> int -> float
-(** The components of {!arrival_arc} without materialising a record —
-    the form hot per-sink loops (stage classification) read. *)
-
 val df : t -> int -> float
 (** [D^f(v)]: scalar worst arrival at the output of [v] (Eq. 5's
     forward term). For [Output] sink nodes this is the capture-point
@@ -90,8 +85,9 @@ type db = { rise : float array; fall : float array }
 (** Backward-delay arena: [rise.(v)]/[fall.(v)] is [D^b(v, t)] indexed
     by the transition polarity at [v], [neg_infinity] outside the
     sink's fan-in cone. A plain pair of float arrays (not
-    [Liberty.arc array]) so the per-sink backward DP allocates two flat
-    arenas and nothing per pin. Treat as read-only. *)
+    [Liberty.arc array]), filled by the dense reference DP
+    ({!backward_packed}); per-sink hot paths use {!backward_cone}
+    instead. Treat as read-only. *)
 
 val backward : t -> sink:int -> Liberty.arc array
 (** [D^b(v, t)] for every node [v]: worst delay from a transition at
@@ -104,16 +100,63 @@ val backward_packed : t -> sink:int -> db
 (** {!backward} in packed form (the arrays {!backward} materialises
     its arcs from). *)
 
-val backward_cone : t -> sink:int -> int array * db
-(** Sparse {!backward}: [(cone, db)] where [cone] lists exactly the
-    nodes in the fan-in cone of [sink], ordered so every node precedes
-    its fanins (the sink first), and [db] equals
-    [backward_packed t ~sink]. The DP walks only the cone instead of
-    scanning all [n] nodes, so the cost is O(|cone|) edge relaxations —
-    the per-sink kernel of {!Rar_retime.Stage} classification. *)
+type walk
 
-val backward_scalar : t -> sink:int -> float array
-(** Max of the {!backward} arcs. *)
+type cone = private {
+  mutable epoch : int;
+      (** bumped by every {!backward_cone}; a stamp equal to it is
+          current *)
+  mutable size : int;  (** |cone| of the last walk *)
+  stamp : int array;  (** per node: [= epoch] iff in the cone *)
+  nodes : int array;
+      (** [nodes.(0 .. size-1)]: the cone, every node before its fanins
+          (the sink first) *)
+  asc : int array;  (** [asc.(0 .. size-1)]: the same nodes, ascending *)
+  rise : float array;
+  fall : float array;
+      (** per node: [D^b] as in {!backward}; meaningful only inside the
+          cone *)
+  slave : float array;
+      (** per flat pin position of a cone node: [A(u,v,t)], filled by
+          {!slave_arrivals} *)
+  bad : int array;
+  good : int array;
+      (** per node / per flat pin: free stamp arrays for the caller's
+          own cone predicates ({!Rar_retime.Stage} marks bad paths and
+          good slave positions); an entry is set iff it equals
+          [epoch] *)
+  walk : walk;  (** the walker's own buffers *)
+}
+(** Per-domain scratch of the cone walker: one per domain (in
+    [Domain.DLS]), keyed on the netlist's compact view by physical
+    identity and sized by its node and pin counts, so a sink costs
+    O(|cone|) time and allocates nothing that grows with the netlist.
+    Each {!backward_cone} call overwrites it: read it before the next
+    call on the same domain, and never hand it to another domain or
+    walk from two systhreads of one domain (the serve daemon's
+    connection threads only submit; workers walk).
+    Stamps make stale entries unreadable, so a walk abandoned by an
+    exception leaves nothing the next one can see. *)
+
+val backward_cone : t -> sink:int -> cone
+(** Sparse {!backward}: walks exactly the fan-in cone of [sink] and
+    returns this domain's scratch with [nodes], [asc], [rise] and
+    [fall] filled — on the cone, [rise.(v)]/[fall.(v)] equal
+    {!backward}'s arc at [v]. The DP performs O(|cone|) edge
+    relaxations; the per-sink kernel of {!Rar_retime.Stage}
+    classification and of sizing's candidate ranking. *)
+
+val cone_max_path : t -> cone -> float
+(** Longest pure combinational path into the cone's sink,
+    polarity-paired: the max over the cone of arrival + [D^b]. *)
+
+val slave_arrivals :
+  t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> cone -> unit
+(** Fill [slave] for every pin [p] of every non-input cone node [v]
+    with {!arrival_with_slave_after}'s [A(u,v,t)], [u] the driver at
+    [p]: like that function, a pair value — the max over every pin of
+    [v] that [u] drives. One call per sink; float reads after it come
+    from the array. *)
 
 val backward_all : t -> float array
 (** Per node, [max] over every sink of [D^b(v,t)] — one multi-sink
@@ -140,8 +183,10 @@ val arrival_with_slave_after :
   t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> u:int -> v:int ->
   db:db -> float
 (** [A(u,v,t)] of Eq. 5: worst arrival at the sink whose backward
-    times are [db], through a slave latch on edge [(u,v)]. Entirely
-    allocation-free — the inner loop of stage classification. *)
+    times are [db], through a slave latch on edge [(u,v)]: the worst
+    over every pin of [v] that [u] drives. The pairwise reference;
+    classification fills a whole cone at once with
+    {!slave_arrivals}. *)
 
 val forward_with_latches :
   t ->

@@ -12,7 +12,8 @@ runs, and holds each section to its floors in bench/smoke_floor.json:
   and positive;
 - scaling: every row's phases, spans, counters and stats present; in
   scale mode exactly the classic-FEAS row and the G-RAR row, each
-  under its wall-clock ceiling;
+  under its wall-clock ceiling, the G-RAR row with stage cone work
+  (stage_cone_nodes > 0);
 - eco: the session outcome identical to the cold re-solve; in eco mode
   at eco_gates gates with the median resolve at least
   eco_speedup_min_ratio faster than the cold solve.
@@ -119,6 +120,8 @@ def check_scaling(mode, rows, floor):
          f"second row is not the {floor['grar_scale_gates']}-gate G-RAR row")
     cap, feas_s = floor["scale_total_max_s"], feas["total_s"]
     need(feas_s <= cap, f"FEAS scale smoke took {feas_s:.1f} s > {cap:.0f} s ceiling")
+    need(grar["counters"]["stage_cone_nodes"] > 0,
+         f"G-RAR row has no stage cone work: {grar['counters']}")
     gcap, grar_s = floor["grar_scale_max_s"], grar["phases"]["run_s"]
     need(grar_s <= gcap,
          f"G-RAR scale smoke took {grar_s:.1f} s > {gcap:.0f} s ceiling")

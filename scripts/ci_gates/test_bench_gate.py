@@ -26,6 +26,7 @@ COUNTERS = {
     "netsimplex_pivots": 1000, "netsimplex_block_hits": 900,
     "netsimplex_cycle_arcs": 5000, "netsimplex_shift_nodes": 20000,
     "endpoints_pruned": 0, "feas_parallel_sweeps": 3,
+    "stage_cone_nodes": 250000,
 }
 
 
@@ -173,6 +174,11 @@ class BenchGateTest(unittest.TestCase):
     def test_grar_row_without_pivots(self):
         doc = valid("scale")
         doc["scaling"][1]["counters"] = dict(COUNTERS, netsimplex_pivots=0)
+        self.rejects("scale", doc)
+
+    def test_grar_row_without_cone_work(self):
+        doc = valid("scale")
+        doc["scaling"][1]["counters"] = dict(COUNTERS, stage_cone_nodes=0)
         self.rejects("scale", doc)
 
     def test_scale_needs_exactly_two_rows(self):

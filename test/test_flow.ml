@@ -90,7 +90,8 @@ let test_mincut_side () =
   ignore (Maxflow.run mf ~source:0 ~sink:2);
   let side = Maxflow.min_cut_source_side mf ~source:0 in
   Alcotest.(check (list bool)) "cut after saturated edge" [ true; false; false ]
-    (Array.to_list side)
+    (Array.to_list side);
+  feq "cut capacity equals the flow" 1. (Maxflow.cut_capacity mf side)
 
 (* --- closure ------------------------------------------------------ *)
 
@@ -107,7 +108,7 @@ let test_closure_simple () =
     }
   in
   match Closure.solve inst with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Closure.error_to_string e)
   | Ok o ->
     feq "profit" 2. o.Closure.best_profit;
     Alcotest.(check (list bool)) "selection" [ true; true; false ]
@@ -124,7 +125,8 @@ let test_closure_contradiction () =
     }
   in
   match Closure.solve inst with
-  | Error _ -> ()
+  | Error Closure.Contradictory -> ()
+  | Error (Closure.Uncertified _) -> Alcotest.fail "expected contradiction"
   | Ok _ -> Alcotest.fail "expected contradiction"
 
 (* --- difference LP: known instances ------------------------------- *)
@@ -286,6 +288,24 @@ let prop_engines_match_brute =
           | Error _, Some _ -> false (* engine failed a feasible instance *))
         Difflp.all_engines)
 
+(* Closure's max-flow = min-cut certificate must accept every exact
+   cut: a clean closure solve never takes the simplex fallback. *)
+let prop_closure_certified =
+  QCheck.Test.make ~name:"closure cuts pass their certificate" ~count:300
+    QCheck.small_int
+    (fun seed ->
+      let rng = Rng.make ((seed + 31) * 2246822519) in
+      let lp, reference = random_instance rng in
+      Rar_resilience.Faults.disable ();
+      Fun.protect ~finally:Rar_resilience.Faults.use_env @@ fun () ->
+      let fallbacks = ref 0 in
+      match
+        Difflp.solve
+          ~on_fallback:(fun _ -> incr fallbacks)
+          ~engine:Difflp.Closure lp ~reference
+      with
+      | Ok _ | Error _ -> !fallbacks = 0)
+
 let prop_solutions_feasible =
   QCheck.Test.make ~name:"engine solutions satisfy all constraints" ~count:300
     QCheck.small_int
@@ -403,5 +423,6 @@ let suite =
       test_engines_agree_medium_scale;
     QCheck_alcotest.to_alcotest prop_engines_match_brute;
     QCheck_alcotest.to_alcotest prop_solutions_feasible;
+    QCheck_alcotest.to_alcotest prop_closure_certified;
     QCheck_alcotest.to_alcotest prop_block_matches_dantzig;
   ]

@@ -158,6 +158,60 @@ let test_clean_path_has_no_events () =
       | Error e -> Alcotest.fail e
       | Ok _ -> Alcotest.(check int) "no fallback on the clean path" 0 !events)
 
+(* A binary-window LP (every r in {-1, 0} relative to r0), the shape
+   the closure engine accepts. *)
+let binary_lp () =
+  let t = Difflp.create ~n:5 in
+  for v = 1 to 4 do
+    Difflp.add_constraint t ~u:v ~v:0 ~bound:0;
+    Difflp.add_constraint t ~u:0 ~v ~bound:1
+  done;
+  Difflp.add_constraint t ~u:2 ~v:1 ~bound:0;
+  Difflp.add_constraint t ~u:4 ~v:3 ~bound:(-1);
+  List.iter
+    (fun (v, a) -> Difflp.add_objective t v a)
+    [ (0, 1.5); (1, -2.0); (2, 1.0); (3, -1.0); (4, 0.5) ];
+  t
+
+let test_closure_fallback_on_badcert () =
+  let t = binary_lp () in
+  let solve () =
+    let events = ref [] in
+    match
+      Difflp.solve
+        ~on_fallback:(fun e -> events := e :: !events)
+        ~engine:Difflp.Closure t ~reference:0
+    with
+    | Ok r -> (r, !events)
+    | Error e -> Alcotest.fail ("closure chain must recover: " ^ e)
+  in
+  let clean, clean_events = without_faults solve in
+  Alcotest.(check int) "clean closure reports no fallback" 0
+    (List.length clean_events);
+  with_faults [ Faults.Badcert ] (fun () ->
+      let r, events = solve () in
+      Alcotest.(check (float 1e-9)) "same optimum as the clean closure"
+        (Difflp.objective_value t clean) (Difflp.objective_value t r);
+      match events with
+      | [ e ] ->
+        Alcotest.(check bool) "primary was closure" true
+          (e.Difflp.failed = Difflp.Closure);
+        Alcotest.(check bool) "retry was netsimplex" true
+          (e.Difflp.retried = Difflp.Network_simplex)
+      | es ->
+        Alcotest.failf "expected exactly one fallback event, got %d"
+          (List.length es))
+
+let test_closure_deadline () =
+  without_faults (fun () ->
+      let d = Deadline.make ~budget_s:0. in
+      match Difflp.solve ~deadline:d ~engine:Difflp.Closure (binary_lp ())
+              ~reference:0
+      with
+      | exception Deadline.Expired { phase; _ } ->
+        Alcotest.(check string) "expired in the max-flow" "maxflow" phase
+      | Ok _ | Error _ -> Alcotest.fail "closure must hit the deadline")
+
 (* --- Engine-level degradation paths -------------------------------- *)
 
 let prepared_lazy =
@@ -195,6 +249,17 @@ let test_engine_deadline () =
             Alcotest.fail ("expected Timeout, got " ^ Error.to_string e)
           | Ok _ -> Alcotest.fail "expected Timeout")
         [ Difflp.Network_simplex; Difflp.Ssp ])
+
+let test_engine_closure_deadline () =
+  let p = prepared () in
+  without_faults (fun () ->
+      let cfg = Engine.config ~solver:Difflp.Closure ~c:1.0 Engine.Grar in
+      let deadline = Deadline.make ~budget_s:0. in
+      match Engine.run_prepared ~deadline cfg p with
+      | Error (Error.Timeout { phase; _ }) ->
+        Alcotest.(check string) "closure solve timed out" "maxflow" phase
+      | Error e -> Alcotest.fail ("expected Timeout, got " ^ Error.to_string e)
+      | Ok _ -> Alcotest.fail "expected Timeout")
 
 let test_fault_profile_arms_deadline () =
   let p = prepared () in
@@ -429,8 +494,14 @@ let suite =
       test_fallback_on_badcert;
     Alcotest.test_case "clean path reports no fallback" `Quick
       test_clean_path_has_no_events;
+    Alcotest.test_case "closure falls back on a flipped certificate" `Quick
+      test_closure_fallback_on_badcert;
+    Alcotest.test_case "closure honours the deadline" `Quick
+      test_closure_deadline;
     Alcotest.test_case "engine surfaces Timeout for both solvers" `Quick
       test_engine_deadline;
+    Alcotest.test_case "zero-budget closure run is a Timeout" `Quick
+      test_engine_closure_deadline;
     Alcotest.test_case "deadline fault profile arms a deadline" `Quick
       test_fault_profile_arms_deadline;
     Alcotest.test_case "faulted engine run falls back, same outcome" `Quick

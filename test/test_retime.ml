@@ -177,6 +177,121 @@ let test_sizing_noop_when_clean () =
       Alcotest.(check bool) "same netlist object" true (st' == r.Base.stage)
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
 
+(* --- stage classification scratch ----------------------------------- *)
+
+(* Everything classification publishes, as one digest. *)
+let stage_digest st =
+  let buf = Buffer.create 4096 in
+  let net = Stage.comb st in
+  for v = 0 to Netlist.node_count net - 1 do
+    Buffer.add_char buf
+      (match Stage.region st v with Stage.Rm -> 'm' | Stage.Rn -> 'n' | Stage.Rr -> 'r')
+  done;
+  Buffer.add_string buf (Marshal.to_string (Stage.illegal_edges st) []);
+  Array.iter
+    (fun s ->
+      (match Stage.classify st s with
+      | Stage.Never_ed -> Buffer.add_string buf "N"
+      | Stage.Always_ed -> Buffer.add_string buf "A"
+      | Stage.Target { cut } ->
+        Buffer.add_string buf (Marshal.to_string (cut, Stage.window_edges st s) []));
+      Buffer.add_string buf (Printf.sprintf "%h;" (Stage.max_path st s)))
+    (Stage.sinks st);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Two stages whose netlists have the same node count but different
+   pin counts: a NAND chain, and an inverter chain over the same
+   nodes. *)
+let twin_cc ~wide =
+  let b = Netlist.Builder.create ~name:(if wide then "wide" else "narrow") () in
+  let i = Array.init 4 (fun k -> Netlist.Builder.add_input b (Printf.sprintf "i%d" k)) in
+  let gate name fanins =
+    let fn = if wide then Rar_netlist.Cell_kind.Nand else Rar_netlist.Cell_kind.Inv in
+    let fanins = if wide then fanins else [ List.hd fanins ] in
+    Netlist.Builder.add_gate b name ~fn ~fanins ()
+  in
+  let g0 = gate "g0" [ i.(0); i.(1) ] in
+  let g1 = gate "g1" [ g0; i.(2) ] in
+  let g2 = gate "g2" [ g1; i.(3) ] in
+  let g3 = gate "g3" [ g2; g0 ] in
+  ignore (Netlist.Builder.add_output b "o0" ~fanin:g3 : int);
+  ignore (Netlist.Builder.add_output b "o1" ~fanin:g1 : int);
+  Transform.extract_comb (Netlist.Builder.freeze b)
+
+let test_scratch_alternating_netlists () =
+  let lib = Liberty.default () in
+  let make cc =
+    let clocking, _ = Suite.derive_clocking lib cc in
+    match Stage.make ~lib ~clocking cc with
+    | Ok st -> stage_digest st
+    | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+  in
+  let narrow = twin_cc ~wide:false and wide = twin_cc ~wide:true in
+  let pins cc =
+    let cv = Netlist.compact cc.Transform.comb in
+    Netlist.Compact.fanin_lo cv (Netlist.Compact.n cv)
+  in
+  Alcotest.(check int) "equal node counts"
+    (Netlist.node_count narrow.Transform.comb)
+    (Netlist.node_count wide.Transform.comb);
+  Alcotest.(check bool) "different pin counts" true (pins narrow <> pins wide);
+  (* References from fresh domains, whose scratch starts empty. *)
+  let fresh cc = Domain.join (Domain.spawn (fun () -> make cc)) in
+  let ref_narrow = fresh narrow and ref_wide = fresh wide in
+  for round = 1 to 3 do
+    Alcotest.(check string) (Printf.sprintf "narrow, round %d" round)
+      ref_narrow (make narrow);
+    Alcotest.(check string) (Printf.sprintf "wide, round %d" round)
+      ref_wide (make wide)
+  done
+
+(* A walk abandoned by an exception can leave any value in the
+   scratch; the next classification on the domain must not read it. *)
+let test_scratch_ignores_stale_values () =
+  let p = Suite.prepare (Generator.generate (small_spec 5)) in
+  let make () =
+    match Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+  in
+  let st = make () in
+  let reference = stage_digest st in
+  let c = Sta.backward_cone (Stage.sta st) ~sink:(Stage.sinks st).(0) in
+  List.iter (fun a -> Array.fill a 0 (Array.length a) 1e9)
+    [ c.Sta.rise; c.Sta.fall; c.Sta.slave ];
+  List.iter (fun a -> Array.fill a 0 (Array.length a) c.Sta.epoch)
+    [ c.Sta.stamp; c.Sta.bad; c.Sta.good ];
+  Alcotest.(check string) "same classification after a scribbled scratch"
+    reference (stage_digest (make ()))
+
+(* Circuits of 1-3k gates with > 512 sinks, so classification takes
+   the pool's parallel branch at every job count above 1. *)
+let prop_stage_jobs_identical =
+  QCheck.Test.make ~name:"Stage.make digest identical at jobs 1/2/4" ~count:3
+    QCheck.(int_bound 1000)
+    (fun seed ->
+      let spec =
+        { Spec.name = "jobs"; n_flops = 520 + (seed mod 80);
+          n_pi = 8; n_po = 8; n_gates = 1000 + (seed * 2 mod 2000);
+          depth = 8 + (seed mod 5); nce_target = 40;
+          seed = Printf.sprintf "jobs%d" seed; src_bias_pct = 55 }
+      in
+      let p = Suite.prepare (Generator.generate spec) in
+      let digest jobs =
+        Rar_util.Pool.set_jobs jobs;
+        match
+          Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
+        with
+        | Ok st ->
+          if Array.length (Stage.sinks st) < 512 then
+            QCheck.Test.fail_report "fewer than 512 sinks";
+          stage_digest st
+        | Error e -> QCheck.Test.fail_report (Rar_retime.Error.to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Rar_util.Pool.set_jobs 1) @@ fun () ->
+      let d1 = digest 1 in
+      d1 = digest 2 && d1 = digest 4)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree_on_objective;
@@ -189,4 +304,9 @@ let suite =
     Alcotest.test_case "outcome area formula" `Quick test_outcome_area_formula;
     Alcotest.test_case "sizing no-op when clean" `Quick
       test_sizing_noop_when_clean;
+    Alcotest.test_case "cone scratch survives alternating netlists" `Quick
+      test_scratch_alternating_netlists;
+    Alcotest.test_case "stale cone scratch is never read" `Quick
+      test_scratch_ignores_stale_values;
+    QCheck_alcotest.to_alcotest prop_stage_jobs_identical;
   ]

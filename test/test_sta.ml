@@ -43,7 +43,7 @@ let test_chain_backward () =
   let net = chain () in
   let sta = Sta.analyse ~launch:0. chain_lib Sta.Path_based net in
   let po = Option.get (Netlist.find net "po") in
-  let db = Sta.backward_scalar sta ~sink:po in
+  let db = Array.map Liberty.arc_max (Sta.backward sta ~sink:po) in
   let g1 = Option.get (Netlist.find net "g1") in
   let pi = Option.get (Netlist.find net "pi") in
   feq "db g1" 1.0 db.(g1);
@@ -100,7 +100,9 @@ let test_backward_all_is_max () =
   let sta = Sta.analyse lib Sta.Path_based comb in
   let all = Sta.backward_all sta in
   let per_sink =
-    Array.map (fun s -> Sta.backward_scalar sta ~sink:s) (Netlist.outputs comb)
+    Array.map
+      (fun s -> Array.map Liberty.arc_max (Sta.backward sta ~sink:s))
+      (Netlist.outputs comb)
   in
   for v = 0 to Netlist.node_count comb - 1 do
     let m =
@@ -226,28 +228,30 @@ let prop_backward_cone_matches_backward =
       Array.for_all
         (fun s ->
           let dense = Sta.backward sta ~sink:s in
-          let cone, sparse = Sta.backward_cone sta ~sink:s in
-          (* Same values everywhere: inside the cone they agree, and
-             outside it both sides hold neg_infinity arcs. *)
+          let c = Sta.backward_cone sta ~sink:s in
+          let cone = Array.sub c.Sta.nodes 0 c.Sta.size in
+          let in_cone v = c.Sta.stamp.(v) = c.Sta.epoch in
+          (* Same values on the cone; off it the dense DP holds
+             neg_infinity arcs (the scratch is not read there). *)
           let values_match =
-            Array.for_all Fun.id
-              (Array.init n (fun v ->
-                   arc_eq dense.(v)
-                     {
-                       Liberty.rise = sparse.Sta.rise.(v);
-                       fall = sparse.Sta.fall.(v);
-                     }))
+            Array.for_all
+              (fun v ->
+                arc_eq dense.(v)
+                  { Liberty.rise = c.Sta.rise.(v); fall = c.Sta.fall.(v) })
+              cone
           in
           (* The cone is exactly the reachable set, sink first, with
-             every node listed before its fanins. *)
-          let in_cone = Array.make n false in
-          Array.iter (fun v -> in_cone.(v) <- true) cone
-          ;
+             every node listed before its fanins; [asc] is the same set
+             ascending. *)
           let cone_is_support =
             Array.for_all Fun.id
               (Array.init n (fun v ->
-                   in_cone.(v) = (dense.(v).Liberty.rise > neg_infinity
-                                  || dense.(v).Liberty.fall > neg_infinity)))
+                   in_cone v = (dense.(v).Liberty.rise > neg_infinity
+                                || dense.(v).Liberty.fall > neg_infinity)))
+            && Array.sub c.Sta.asc 0 c.Sta.size
+               = (let a = Array.copy cone in
+                  Array.sort compare a;
+                  a)
           in
           let pos = Array.make n (-1) in
           Array.iteri (fun i v -> pos.(v) <- i) cone;
@@ -260,7 +264,33 @@ let prop_backward_cone_matches_backward =
                      (Netlist.fanins comb v))
                  cone
           in
-          values_match && cone_is_support && topo_ok)
+          (* A(u,v) from the pin-indexed fill equals the pairwise
+             reference on every pin of every non-input cone node. *)
+          let clocking = Clocking.v ~phi1:1. ~gamma1:0. ~phi2:1. ~gamma2:0.3 in
+          let latch = Liberty.latch lib in
+          Sta.slave_arrivals sta ~clocking ~latch c;
+          let db = Sta.backward_packed sta ~sink:s in
+          let cv = Netlist.compact comb in
+          let slaves_match =
+            Array.for_all
+              (fun v ->
+                Netlist.kind comb v = Netlist.Input
+                || begin
+                  let ok = ref true in
+                  for p = Netlist.Compact.fanin_lo cv v
+                      to Netlist.Compact.fanin_hi cv v - 1 do
+                    let u = Netlist.Compact.fanin cv p in
+                    let a =
+                      Sta.arrival_with_slave_after sta ~clocking ~latch ~u ~v
+                        ~db
+                    in
+                    if c.Sta.slave.(p) <> a then ok := false
+                  done;
+                  !ok
+                end)
+              cone
+          in
+          values_match && cone_is_support && topo_ok && slaves_match)
         (Netlist.outputs comb))
 
 let prop_latches_only_delay =
